@@ -220,8 +220,13 @@ def _cmd_solve(cfg, args, outputs):
 def _cmd_sweep(cfg, args, outputs):
     dist = make_distribution(cfg["vorticity"])
     sol = _resolve_solution(cfg, dist)
-    if "amplitudes" not in cfg or "wavelengths" not in cfg:
-        raise ConfigError("sweep config needs 'amplitudes' and 'wavelengths'")
+    for key in ("amplitudes", "wavelengths"):
+        vals = cfg.get(key)
+        if not (isinstance(vals, list) and vals and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in vals)):
+            raise ConfigError(
+                f"sweep config needs '{key}' as a non-empty list of numbers")
     rep = ws.nonexistence_sweep(
         sol, dist, cfg["amplitudes"], cfg["wavelengths"],
         slope_cap=float(cfg.get("slope_cap", 1.0)),

@@ -26,13 +26,12 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .errors import DepthMismatch
 from .stream import StreamSolution
 from .vorticity import VorticityDistribution
 from .wavesolver import (StripGrid, WaveState, _q_difference_operators,
-                         flat_state)
+                         _sparse_solve, flat_state)
 
 __all__ = [
     "PerturbationFields",
@@ -273,7 +272,7 @@ def _solve_first_order_model(sol: StreamSolution, dist: VorticityDistribution,
     A = (sp.kron(grid.Dxx, sp.identity(ny_int), format="csr")
          + sp.kron(Ix, Dyy[1:ny, 1:ny], format="csr")
          + sp.kron(Ix, sp.diags(wp_col[1:ny]), format="csr"))
-    w_int = spsolve(A.tocsc(), rhs.ravel()).reshape(nx, ny_int)
+    w_int = _sparse_solve(A, rhs.ravel()).reshape(nx, ny_int)
 
     w = np.zeros((nx, ny + 1))
     w[:, 1:ny] = w_int

@@ -16,9 +16,9 @@ Laplacian into a variable-coefficient operator
 
 discretized with second-order centered differences in both directions
 (one-sided second-order stencils close the q boundary rows). Newton's
-method with an analytic psi-block and a finite-difference eta-block
-drives the coupled system; a pinned-amplitude variant releases the
-Bernoulli constant for continuation off a bifurcation point.
+method with an exact sparse Jacobian drives the coupled system; a
+pinned-amplitude variant releases the Bernoulli constant for continuation
+off a bifurcation point.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .errors import (ConfigError, InvalidSweepCase, NewtonDiverged,
                      SurfaceCollapse)
@@ -94,21 +95,6 @@ def _q_difference_operators(ny: int):
     return D1.tocsr(), D2.tocsr()
 
 
-def _color_count(nx: int, periodic: bool) -> int:
-    """Number of colors for the eta finite-difference Jacobian block.
-
-    The surface couples into residual rows one x-node to each side, so
-    three colors separate the columns; a periodic grid additionally needs
-    the color count to divide nx or the wrap-around breaks the pattern.
-    """
-    if not periodic:
-        return 3
-    for g in range(3, nx + 1):
-        if nx % g == 0:
-            return g
-    return nx
-
-
 class StripGrid:
     """Difference operators on the mapped rectangle.
 
@@ -155,7 +141,14 @@ class StripGrid:
 
         jj, ii = np.meshgrid(np.arange(1, ny), np.arange(nx))
         self._interior_rows = (ii * (ny + 1) + jj).ravel()
-        self.colors = np.arange(nx) % _color_count(nx, self.periodic)
+
+    @cached_property
+    def _eta_spread(self):
+        """E, E Dx and E Dxx for the eta-block, E spreading each x node
+        over its interior rows; built on the first Jacobian assembly."""
+        col = np.ones((self.ny - 1, 1))
+        return tuple(sp.kron(D, col, format="csr")
+                     for D in (sp.identity(self.nx), self.Dx, self.Dxx))
 
     def _x_operators(self):
         nx, dx = self.nx, self.dx
@@ -247,8 +240,8 @@ class WaveState:
             return cls(period_L=float(d["period_L"]), nx=int(d["nx"]),
                        ny=int(d["ny"]), psi=np.asarray(d["psi"], dtype=float),
                        eta=np.asarray(d["eta"], dtype=float), r=float(d["r"]))
-        except KeyError as exc:
-            raise ValueError(f"missing state field: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"missing or bad state field: {exc}") from exc
 
 
 class ResidualNorms(NamedTuple):
@@ -409,24 +402,37 @@ def residual_norms(state: WaveState, dist: VorticityDistribution) -> ResidualNor
                          bernoulli=float(np.max(np.abs(f["bernoulli"]))))
 
 
-def _assemble_jacobian(psi, eta, r, grid: StripGrid, dist, F0,
+def _sparse_solve(A, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b by SuperLU with a minimum-degree ordering on A^T + A,
+    which on the strip Jacobians makes about half the fill of the default
+    COLAMD. Raises RuntimeError when the factor is exactly singular."""
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+
+
+def _assemble_jacobian(psi, eta, grid: StripGrid, dist,
                        pin: Optional[tuple] = None):
     """Jacobian of [pde rows; bernoulli rows] wrt [interior psi; eta].
 
-    The psi-block is analytic (the operator is linear in Psi apart from
-    omega(Psi), whose derivative enters the diagonal); the eta-block uses
-    colored finite differences on the full residual vector. With pin =
-    (index, value) the system is bordered: r joins the unknowns and the
-    equation eta[index] = value joins the rows.
+    Both blocks are exact and sparse. The operator is linear in Psi apart
+    from omega(Psi), whose derivative enters the diagonal. A pde row
+    depends on eta only through eta, eta_x = Dx eta and eta_xx = Dxx eta
+    at its own x node, and a Bernoulli row only through eta and eta_x, so
+    the eta-block is diag(dF/deta) E + diag(dF/deta_x) E Dx
+    + diag(dF/deta_xx) E Dxx, with E spreading each x node over its
+    interior rows (E = I for the Bernoulli rows). With pin = (index,
+    value) the system is bordered: r joins the unknowns and the equation
+    eta[index] = value joins the rows.
     """
     nx, ny = grid.nx, grid.ny
     q = grid.q[None, :]
     ex = grid.Dx @ eta
     exx = grid.Dxx @ eta
     inv_eta = 1.0 / eta[:, None]
+    qe = q * ex[:, None] * inv_eta
+    metric = 1.0 + (q * ex[:, None]) ** 2
 
-    c_qq = ((1.0 + (q * ex[:, None]) ** 2) * inv_eta ** 2).ravel()
-    c_xq = (-2.0 * q * ex[:, None] * inv_eta).ravel()
+    c_qq = (metric * inv_eta ** 2).ravel()
+    c_xq = (-2.0 * qe).ravel()
     c_q = (q * (2.0 * (ex[:, None] * inv_eta) ** 2
                 - exx[:, None] * inv_eta)).ravel()
     wprime = np.asarray(dist.derivative(psi), dtype=float).ravel()
@@ -440,7 +446,8 @@ def _assemble_jacobian(psi, eta, r, grid: StripGrid, dist, F0,
     J_pp = J_full.tocsr()[rows][:, rows]
 
     # bernoulli rows, analytic in the two topmost interior psi values
-    pq_s = (grid.Dq @ psi.T).T[:, ny]
+    pq = (grid.Dq @ psi.T).T
+    pq_s = pq[:, ny]
     pref = 2.0 * (1.0 + ex ** 2) * pq_s / eta ** 2
     dq = grid.dq
     n_int = nx * (ny - 1)
@@ -451,43 +458,30 @@ def _assemble_jacobian(psi, eta, r, grid: StripGrid, dist, F0,
     vals_b = np.concatenate([pref * (-2.0 / dq), pref * (0.5 / dq)])
     J_bp = sp.coo_matrix((vals_b, (rows_b, cols_b)), shape=(nx, n_int))
 
-    # eta-block by colored finite differences
-    nF = n_int + nx
-    J_eta = np.zeros((nF, nx))
-    steps = 1e-7 * np.maximum(1.0, np.abs(eta))
-    ncolor = int(grid.colors.max()) + 1
-    for c in range(ncolor):
-        mask = grid.colors == c
-        if not mask.any():
-            continue
-        eta_p = eta.copy()
-        eta_p[mask] += steps[mask]
-        dF = _residual_vec(psi, eta_p, r, grid, dist) - F0
-        dpde = dF[:n_int].reshape(nx, ny - 1)
-        dbern = dF[n_int:]
-        for m in np.flatnonzero(mask):
-            for off in (-1, 0, 1):
-                i = m + off
-                if grid.periodic:
-                    i %= nx
-                elif i < 0 or i >= nx:
-                    continue
-                J_eta[i * (ny - 1):(i + 1) * (ny - 1), m] = dpde[i] / steps[m]
-                J_eta[n_int + i, m] = dbern[i] / steps[m]
+    # eta-block: derivatives of c_qq, c_xq, c_q times the Psi terms they scale
+    pqq = (grid.Dqq @ psi.T).T
+    pxq = (grid.Dq @ (grid.Dx @ psi).T).T
+    inner = slice(1, ny)
+    d_eta = (-2.0 * metric * inv_eta ** 3 * pqq
+             + 2.0 * qe * inv_eta * pxq
+             + q * (exx[:, None] - 4.0 * ex[:, None] ** 2 * inv_eta)
+             * inv_eta ** 2 * pq)[:, inner].ravel()
+    d_ex = (2.0 * q * qe * inv_eta * pqq - 2.0 * q * inv_eta * pxq
+            + 4.0 * qe * inv_eta * pq)[:, inner].ravel()
+    d_exx = (-q * inv_eta * pq)[:, inner].ravel()
+    E, E_x, E_xx = grid._eta_spread
+    J_pe = (sp.diags(d_eta) @ E + sp.diags(d_ex) @ E_x
+            + sp.diags(d_exx) @ E_xx)
+    s2 = (pq_s / eta) ** 2
+    J_be = (sp.diags(2.0 - 2.0 * (1.0 + ex ** 2) * s2 / eta)
+            + sp.diags(2.0 * ex * s2) @ grid.Dx)
 
-    J = sp.bmat([[sp.vstack([J_pp, J_bp]), sp.csr_matrix(J_eta)]],
-                format="csr")
     if pin is None:
-        return J
-
-    pin_index, _ = pin
-    r_col = np.zeros((nF, 1))
-    r_col[n_int:, 0] = -3.0
-    pin_row = np.zeros((1, n_int + nx + 1))
-    pin_row[0, n_int + pin_index] = 1.0
-    return sp.bmat([[J, sp.csr_matrix(r_col)],
-                    [sp.csr_matrix(pin_row[:, :-1]), sp.csr_matrix([[0.0]])]],
-                   format="csr")
+        return sp.bmat([[J_pp, J_pe], [J_bp, J_be]], format="csr")
+    r_col = sp.csr_matrix(np.full((nx, 1), -3.0))
+    pin_row = sp.csr_matrix(([1.0], ([0], [pin[0]])), shape=(1, nx))
+    return sp.bmat([[J_pp, J_pe, None], [J_bp, J_be, r_col],
+                    [None, pin_row, None]], format="csr")
 
 
 def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
@@ -516,10 +510,11 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
     for it in range(max_iter):
         if norm <= tol:
             return psi, eta, r, it, norm
-        J = _assemble_jacobian(psi, eta, r, grid, dist,
-                               F[:n_int + nx] if pin is not None else F,
-                               pin=pin)
-        dz = spsolve(J.tocsc(), -F)
+        J = _assemble_jacobian(psi, eta, grid, dist, pin=pin)
+        try:
+            dz = _sparse_solve(J, -F)
+        except RuntimeError as exc:
+            raise NewtonDiverged(f"singular Jacobian ({exc})") from exc
         if not np.all(np.isfinite(dz)):
             raise NewtonDiverged("singular Jacobian (non-finite Newton step)")
         dpsi = dz[:n_int].reshape(nx, ny - 1)

@@ -103,6 +103,19 @@ class TestSolveAndDiagnose:
         assert code == 1
         assert report is None
 
+    @pytest.mark.parametrize("state", [
+        [1, 2],
+        {"period_L": 2.0, "nx": None, "ny": 4, "r": 0.5, "eta": [1.0],
+         "psi": [[0.0]]},
+    ])
+    def test_diagnose_malformed_state_fails(self, tmp_path, capsys, state):
+        state_path = _write(tmp_path, "state.json", state)
+        code, report, _, _ = _run(tmp_path, "diagnose", dict(B2),
+                                  extra=["--state", state_path])
+        assert code == 1
+        assert report is None
+        assert "error: bad state file" in capsys.readouterr().err
+
     def test_surface_csv(self, tmp_path):
         cfg = dict(B2, nx=16, ny=12)
         csv_path = str(tmp_path / "surface.csv")
@@ -147,6 +160,18 @@ class TestSweep:
     def test_missing_grid_keys_fail(self, tmp_path):
         code, report, _, _ = _run(tmp_path, "sweep", dict(B2))
         assert code == 1
+
+    @pytest.mark.parametrize("amplitudes, wavelengths", [
+        (0.01, [2.0]), ([0.01], 2.0), (["0.01"], [2.0]), ([], [2.0]),
+    ])
+    def test_malformed_grid_fails(self, tmp_path, capsys, amplitudes,
+                                  wavelengths):
+        cfg = dict(B2, amplitudes=amplitudes, wavelengths=wavelengths,
+                   nx=32, ny=16)
+        code, report, _, _ = _run(tmp_path, "sweep", cfg)
+        assert code == 1
+        assert report is None
+        assert "as a non-empty list of numbers" in capsys.readouterr().err
 
 
 class TestDispersion:

@@ -9,10 +9,13 @@ closed form before being wired into these tests.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from stillwave import wavesolver
 from stillwave.errors import (InvalidSweepCase, NewtonDiverged,
                               SurfaceCollapse)
 from stillwave.stream import shear_solution, still_depth_family
@@ -164,28 +167,74 @@ class TestFlatState:
         assert np.max(np.abs(st.eta - expected)) < 1e-14
 
 
+def _assert_matches_central_differences(grid, st, dist, pin=None):
+    """J d against (F(z + eps d) - F(z - eps d)) / (2 eps) for three random
+    unit directions d. With pin, r and the pin row join the system."""
+    nx, ny = grid.nx, grid.ny
+    n_int = nx * (ny - 1)
+    J = _assemble_jacobian(st.psi, st.eta, grid, dist, pin=pin)
+
+    def residual(z):
+        ps = st.psi.copy()
+        ps[:, 1:ny] += z[:n_int].reshape(nx, ny - 1)
+        et = st.eta + z[n_int:n_int + nx]
+        if pin is None:
+            return _residual_vec(ps, et, st.r, grid, dist)
+        F = _residual_vec(ps, et, st.r + z[-1], grid, dist)
+        return np.append(F, et[pin[0]] - pin[1])
+
+    rng = np.random.default_rng(11)
+    eps = 1e-6
+    for _ in range(3):
+        d = rng.standard_normal(J.shape[1])
+        d /= np.linalg.norm(d)
+        fd = (residual(eps * d) - residual(-eps * d)) / (2.0 * eps)
+        Jd = J @ d
+        assert np.max(np.abs(Jd - fd)) < 5e-5 * max(1.0, np.max(np.abs(Jd)))
+
+
+def _wavy_state(sol, dist, grid):
+    """A rippled state on the grid's own nodes. Its psi varies in x, so
+    the Psi_xq terms of the eta-block are nonzero; on a flow moving at the
+    surface the Bernoulli eta_x term is nonzero too."""
+    st = flat_state(sol, dist, grid.period_L, grid.nx, grid.ny)
+    kx = 2.0 * math.pi * grid.x / grid.period_L
+    st.eta = sol.depth * (1.0 + 0.03 * np.cos(kx))
+    st.psi[:, 1:-1] += 0.02 * np.outer(np.sin(kx) + 0.5,
+                                       np.sin(math.pi * st.q[1:-1]))
+    return st
+
+
 class TestJacobian:
     def test_matches_central_differences(self, still_b2):
         grid = StripGrid(2.0, 8, 6, "periodic")
         st = perturbed_state(still_b2, B2, 2.0, 8, 6, amplitude=0.03)
-        psi, eta, r = st.psi, st.eta, st.r
-        F0 = _residual_vec(psi, eta, r, grid, B2)
-        J = _assemble_jacobian(psi, eta, r, grid, B2, F0)
+        _assert_matches_central_differences(grid, st, B2)
 
-        rng = np.random.default_rng(11)
-        n_int = 8 * 5
-        for _ in range(3):
-            d = rng.standard_normal(n_int + 8)
-            d /= np.linalg.norm(d)
-            eps = 1e-6
-            def shifted(sign):
-                ps = psi.copy()
-                ps[:, 1:6] += sign * eps * d[:n_int].reshape(8, 5)
-                et = eta + sign * eps * d[n_int:]
-                return _residual_vec(ps, et, r, grid, B2)
-            fd = (shifted(+1.0) - shifted(-1.0)) / (2.0 * eps)
-            Jd = J @ d
-            assert np.max(np.abs(Jd - fd)) < 5e-5 * max(1.0, np.max(np.abs(Jd)))
+    @pytest.mark.parametrize("topology, nx", [("reflect", 9), ("periodic", 11)])
+    def test_other_grids_match_central_differences(self, moving_bm1,
+                                                   topology, nx):
+        grid = StripGrid(2.0, nx, 6, topology)
+        _assert_matches_central_differences(
+            grid, _wavy_state(moving_bm1, BM1, grid), BM1)
+
+    def test_bordered_system_matches_central_differences(self, moving_bm1):
+        grid = StripGrid(2.0, 9, 6, "reflect")
+        st = _wavy_state(moving_bm1, BM1, grid)
+        _assert_matches_central_differences(grid, st, BM1,
+                                            pin=(0, st.eta[0] + 0.01))
+
+    def test_assembly_memory_scales_with_nonzeros(self, still_lin):
+        grid = StripGrid(3.0, 128, 64, "periodic")
+        st = perturbed_state(still_lin, LIN, 3.0, 128, 64, amplitude=0.006)
+        tracemalloc.start()
+        try:
+            J = _assemble_jacobian(st.psi, st.eta, grid, LIN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        csr_bytes = J.data.nbytes + J.indices.nbytes + J.indptr.nbytes
+        assert peak < 8.0 * csr_bytes
 
 
 class TestNewton:
@@ -195,6 +244,23 @@ class TestNewton:
         assert np.max(np.abs(res.state.eta - 1.0)) < 1e-8
         assert res.norms.max() < 1e-10
         assert res.iterations <= 8
+
+    def test_prime_nx_converges_as_fast(self, still_b2):
+        its = [newton_solve(perturbed_state(still_b2, B2, 2.0, nx, 16,
+                                            amplitude=0.01), B2).iterations
+               for nx in (31, 32)]
+        assert its[0] == its[1]
+
+    def test_singular_jacobian_is_newton_diverged(self, still_b2,
+                                                  monkeypatch):
+        def zero_jacobian(psi, eta, grid, dist, pin=None):
+            n = grid.nx * grid.ny
+            return sp.csr_matrix((n, n))
+
+        monkeypatch.setattr(wavesolver, "_assemble_jacobian", zero_jacobian)
+        st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
+        with pytest.raises(NewtonDiverged, match="singular"):
+            newton_solve(st, B2)
 
     def test_unreachable_bernoulli_level_fails(self, still_b2):
         st = flat_state(still_b2, B2, 2.0, 16, 12)
