@@ -90,6 +90,33 @@ def _write_manifest(path: str, subcommand: str, cfg: dict,
     _write_json(path, manifest)
 
 
+def _is_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _number(cfg: dict, key: str, default: float) -> float:
+    v = cfg.get(key, default)
+    if not _is_number(v):
+        raise ConfigError(f"config '{key}' must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _count(cfg: dict, key: str, default: int, least: int) -> int:
+    n = int(_number(cfg, key, default))
+    if n < least:
+        raise ConfigError(f"config '{key}' must be at least {least}, got {n}")
+    return n
+
+
+def _number_list(cfg: dict, key: str, subcommand: str) -> list:
+    vals = cfg.get(key)
+    if not (isinstance(vals, list) and vals and all(map(_is_number, vals))):
+        raise ConfigError(f"{subcommand} config needs '{key}' as a non-empty "
+                          f"list of numbers")
+    return vals
+
+
 def _family_summary(dist, k_max: int) -> dict:
     crit = st.critical_surface_speed(dist)
     summary = {"s0": crit.speed, "tau0": crit.maximiser,
@@ -121,7 +148,7 @@ def _resolve_solution(cfg: dict, dist) -> st.StreamSolution:
     (default 0, the least depth), with "k_max" bounding the enumeration.
     """
     if "s" in cfg:
-        return st.shear_solution(dist, float(cfg["s"]))
+        return st.shear_solution(dist, _number(cfg, "s", 0.0))
     member = int(cfg.get("member", 0))
     if member < 0:
         raise ConfigError("member index must be nonnegative")
@@ -221,12 +248,7 @@ def _cmd_sweep(cfg, args, outputs):
     dist = make_distribution(cfg["vorticity"])
     sol = _resolve_solution(cfg, dist)
     for key in ("amplitudes", "wavelengths"):
-        vals = cfg.get(key)
-        if not (isinstance(vals, list) and vals and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in vals)):
-            raise ConfigError(
-                f"sweep config needs '{key}' as a non-empty list of numbers")
+        _number_list(cfg, key, "sweep")
     rep = ws.nonexistence_sweep(
         sol, dist, cfg["amplitudes"], cfg["wavelengths"],
         slope_cap=float(cfg.get("slope_cap", 1.0)),
@@ -239,17 +261,23 @@ def _cmd_sweep(cfg, args, outputs):
 
 
 def _cmd_dispersion(cfg, args, outputs):
+    k_lo = _number(cfg, "k_min", 0.0)
+    k_hi = _number(cfg, "k_max_scan", 5.0)
+    if not k_lo < k_hi:
+        raise ConfigError(
+            f"dispersion config needs k_min < k_max_scan, got {k_lo!r} "
+            f"and {k_hi!r}")
+    scan_points = _count(cfg, "scan_points", 201, least=2)
+    if "k_values" in cfg:
+        ks = _number_list(cfg, "k_values", "dispersion")
+    else:
+        ks = np.linspace(k_lo, k_hi, _count(cfg, "samples", 21, least=1))
     dist = make_distribution(cfg["vorticity"])
     sol = _resolve_solution(cfg, dist)
-    k_lo = float(cfg.get("k_min", 0.0))
-    k_hi = float(cfg.get("k_max_scan", 5.0))
-    ks = cfg.get("k_values")
-    if ks is None:
-        ks = np.linspace(k_lo, k_hi, int(cfg.get("samples", 21))).tolist()
     sigma = [{"k": float(k), "sigma": ws.dispersion_sigma(sol, dist, float(k))}
              for k in ks]
-    roots = ws.find_bifurcation_points(
-        sol, dist, k_lo, k_hi, scan_points=int(cfg.get("scan_points", 201)))
+    roots = ws.find_bifurcation_points(sol, dist, k_lo, k_hi,
+                                       scan_points=scan_points)
     return {"h": sol.depth, "surface_speed": sol.surface_speed,
             "still": sol.still, "sigma": sigma,
             "roots": [float(r) for r in roots]}, 0

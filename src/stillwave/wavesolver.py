@@ -656,23 +656,29 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
 
 
 def _dispersion_solve(sol: StreamSolution, dist: VorticityDistribution,
-                      k: float):
-    """Jointly integrate the stream profile and the transverse mode.
+                      ks, dense_output: bool = False):
+    """Jointly integrate the stream profile and the transverse modes of
+    every wavenumber in ks.
 
-    f solves f'' + (omega'(U) - k^2) f = 0, f(0) = 0, f'(0) = 1, riding
-    on the exact U of the flow, up to the surface y = h.
+    The state is [U, U_y, f_1..f_n, f'_1..f'_n]. Each f_i solves
+    f'' + (omega'(U) - k_i^2) f = 0, f(0) = 0, f'(0) = 1, riding on the
+    exact U of the flow, up to the surface y = h. The mode equation is
+    linear and k enters only through k^2, so one integration serves them
+    all. out.y holds only the surface values; dense_output adds the
+    interpolant over [0, h].
     """
-    ksq = float(k) ** 2
+    ksq = np.asarray(ks, dtype=float).ravel() ** 2
+    n = ksq.size
 
     def rhs(y, st):
-        u, uy, f, fp = st
-        return (uy, -float(dist.omega(u)),
-                fp, (ksq - float(dist.derivative(u))) * f)
+        u = st[0]
+        return np.concatenate(((st[1], -float(dist.omega(u))), st[2 + n:],
+                               (ksq - float(dist.derivative(u))) * st[2:2 + n]))
 
     h = sol.depth
-    out = solve_ivp(rhs, (0.0, h), (0.0, float(sol.profile.s), 0.0, 1.0),
-                    method="DOP853", rtol=1e-12, atol=1e-14,
-                    dense_output=True)
+    y0 = np.concatenate(((0.0, float(sol.profile.s)), np.zeros(n), np.ones(n)))
+    out = solve_ivp(rhs, (0.0, h), y0, method="DOP853", rtol=1e-12,
+                    atol=1e-14, t_eval=(h,), dense_output=dense_output)
     if not out.success:
         raise NewtonDiverged(f"dispersion integration failed: {out.message}")
     return out, h
@@ -686,15 +692,26 @@ def dispersion_sigma(sol: StreamSolution, dist: VorticityDistribution,
     = -omega(1). For a still flow it reduces to -f(h), strictly negative
     while f keeps its sign on (0, h].
     """
-    out, h = _dispersion_solve(sol, dist, k)
-    _, uy_h, f_h, fp_h = out.sol(h)
-    return float(uy_h ** 2 * fp_h - (1.0 - uy_h * float(dist.omega(1.0))) * f_h)
+    return float(_dispersion_scan(sol, dist, [k])[0])
+
+
+def _dispersion_scan(sol: StreamSolution, dist: VorticityDistribution,
+                     ks) -> np.ndarray:
+    """sigma at every wavenumber in ks, read off the surface values of one
+    integration. The step control sees every mode at once, so a value
+    agrees with the one-wavenumber integration of dispersion_sigma to the
+    integrator's tolerance, not bit for bit."""
+    out, _ = _dispersion_solve(sol, dist, ks)
+    end = out.y[:, -1]
+    n = np.size(ks)
+    uy_h, f_h, fp_h = end[1], end[2:2 + n], end[2 + n:]
+    return uy_h ** 2 * fp_h - (1.0 - uy_h * float(dist.omega(1.0))) * f_h
 
 
 def dispersion_mode(sol: StreamSolution, dist: VorticityDistribution,
                     k: float):
     """Dense-output callable y -> f(y) for the transverse mode, plus h."""
-    out, h = _dispersion_solve(sol, dist, k)
+    out, h = _dispersion_solve(sol, dist, [k], dense_output=True)
 
     def f(y):
         return out.sol(y)[2]
@@ -708,17 +725,35 @@ def find_bifurcation_points(sol: StreamSolution, dist: VorticityDistribution,
                             xtol: float = 1e-12) -> np.ndarray:
     """Zeros of the dispersion functional in [k_min, k_max].
 
-    A sign-change scan brackets each root, then brentq polishes it. For
-    still flows the functional is negative throughout and the result is
-    empty.
+    One integration evaluates the functional at scan_points equispaced
+    wavenumbers; each sign change brackets a root, which brentq polishes
+    on the scalar dispersion_sigma. Where the scalar path gives both ends
+    of a bracket one sign, sigma vanishes to roundoff at one of them, and
+    that node is reported. For still flows the functional is negative
+    throughout and the result is empty. Raises ValueError unless k_min <
+    k_max are finite and scan_points >= 2.
     """
+    if not (math.isfinite(k_min) and math.isfinite(k_max) and k_min < k_max):
+        raise ValueError(
+            f"need finite k_min < k_max, got [{k_min!r}, {k_max!r}]")
+    if scan_points < 2:
+        raise ValueError(f"need scan_points >= 2, got {scan_points!r}")
+
+    def sigma(k):
+        return dispersion_sigma(sol, dist, k)
+
     ks = np.linspace(k_min, k_max, scan_points)
-    sig = np.array([dispersion_sigma(sol, dist, k) for k in ks])
+    sig = _dispersion_scan(sol, dist, ks)
     roots = [float(ks[i]) for i in np.flatnonzero(sig == 0.0)]
     for i in np.flatnonzero(np.sign(sig[:-1]) * np.sign(sig[1:]) < 0):
-        roots.append(brentq(lambda k: dispersion_sigma(sol, dist, k),
-                            ks[i], ks[i + 1], xtol=xtol))
-    return np.array(sorted(roots))
+        lo, hi = sigma(ks[i]), sigma(ks[i + 1])
+        if lo * hi < 0:
+            roots.append(brentq(sigma, ks[i], ks[i + 1], xtol=xtol))
+        else:
+            # the scan and the scalar path disagree only in roundoff, so
+            # sigma vanishes to roundoff at the end nearer zero
+            roots.append(float(ks[i] if abs(lo) <= abs(hi) else ks[i + 1]))
+    return np.unique(roots)
 
 
 def bifurcation_branch(sol: StreamSolution, dist: VorticityDistribution,
@@ -732,6 +767,8 @@ def bifurcation_branch(sol: StreamSolution, dist: VorticityDistribution,
     removes the horizontal-translation null direction. The seed is the
     linear mode in mapped coordinates. The result is unfolded to the full
     periodic grid (nx must be even; the half grid has nx/2 + 1 nodes).
+    Raises NewtonDiverged when Newton lands on the raised flat state
+    eta = h + amplitude, which also satisfies the pin, instead of a wave.
     """
     if nx % 2:
         raise ValueError("nx must be even so the half grid unfolds cleanly")
@@ -764,6 +801,13 @@ def bifurcation_branch(sol: StreamSolution, dist: VorticityDistribution,
     psi_h, eta_h, r_out, its, _ = _newton_core(
         psi, eta, r0, grid, dist, tol, max_iter, MAX_HALVINGS,
         pin=(0, h + amplitude))
+    # the pinned crest alone also admits the raised flat state h + amplitude
+    ptp = float(np.ptp(eta_h))
+    if ptp < amplitude:
+        raise NewtonDiverged(
+            f"continuation at k={k:.6g} converged in {its} iterations to a "
+            f"flat state: peak-to-trough {ptp:.3g} is below the amplitude "
+            f"{amplitude:.3g}")
 
     psi_full = np.vstack([psi_h, psi_h[-2:0:-1]])
     eta_full = np.concatenate([eta_h, eta_h[-2:0:-1]])

@@ -186,6 +186,20 @@ class TestDispersion:
         signs = [s["sigma"] for s in report["sigma"]]
         assert signs[0] < 0 < signs[1]
 
+    @pytest.mark.parametrize("bad", [
+        {"k_values": 3}, {"k_values": []}, {"k_values": [0.5, "1.5"]},
+        {"k_values": [0.5, None]}, {"scan_points": 1},
+        {"k_min": 2.0, "k_max_scan": 2.0}, {"k_min": 3.0, "k_max_scan": 1.0},
+        {"k_min": None}, {"k_max_scan": "5"}, {"samples": None},
+        {"samples": 0}, {"s": None},
+    ])
+    def test_malformed_config_fails(self, tmp_path, capsys, bad):
+        code, report, _, _ = _run(tmp_path, "dispersion",
+                                  {**BM1, "s": 0.0, **bad})
+        assert code == 1
+        assert report is None
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestPlumbing:
     def test_manifest_digest_matches_canonical_hash(self, tmp_path):

@@ -20,7 +20,8 @@ from stillwave.errors import (InvalidSweepCase, NewtonDiverged,
                               SurfaceCollapse)
 from stillwave.stream import shear_solution, still_depth_family
 from stillwave.vorticity import (ConstantVorticity, LinearVorticity,
-                                 QuadraticTruncatedVorticity)
+                                 QuadraticTruncatedVorticity,
+                                 TabulatedVorticity)
 from stillwave.wavesolver import (StripGrid, WaveState,
                                   VERDICT_CONSISTENT,
                                   VERDICT_NOT_APPLICABLE,
@@ -39,6 +40,12 @@ B2 = ConstantVorticity(b=2.0)
 LIN = LinearVorticity(b=1.0)
 QUAD = QuadraticTruncatedVorticity(b=1.5, R=1.1)
 BM1 = ConstantVorticity(b=-1.0)
+TAB = TabulatedVorticity(nodes=[0.0, 1.0], values=[0.5, 1.5])
+# (distribution, bed slope) per family, still (s = None: least still
+# depth) and moving; the moving constant and linear flows have a root
+SCAN_FLOWS = [(B2, None), (BM1, 0.0), (LIN, None),
+              (LinearVorticity(b=-1.0), 0.5), (QUAD, None), (QUAD, 2.0),
+              (TAB, None), (TAB, 2.5)]
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +307,48 @@ class TestDispersion:
         assert roots.size == 1
         assert roots[0] == pytest.approx(BIFURCATION_K, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "dist, s", SCAN_FLOWS,
+        ids=[f"{d.family}-{'still' if s is None else 'moving'}"
+             for d, s in SCAN_FLOWS])
+    def test_scan_matches_scalar_path(self, dist, s):
+        sol = still_depth_family(dist)[0] if s is None \
+            else shear_solution(dist, s)
+        ks = np.linspace(0.0, 5.0, 21)
+        scan = wavesolver._dispersion_scan(sol, dist, ks)
+        ref = np.array([dispersion_sigma(sol, dist, k) for k in ks])
+        assert np.all(np.abs(scan - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
+        assert np.array_equal(np.sign(scan), np.sign(ref))
+
+    def test_root_at_a_scan_node(self, monkeypatch):
+        # omega' = 2 on [0, 1] gives f = sin(sqrt 2 y) / sqrt 2 at k = 0 and
+        # h = pi / sqrt 2, so sigma(0) = -f(h) = 0 and the sign of either
+        # path at that node is roundoff. Flipping the scan's sign there
+        # makes a bracket whose ends the scalar path gives one sign.
+        hat = TabulatedVorticity(nodes=[0.0, 1.0], values=[-1.0, 1.0])
+        sol = still_depth_family(hat)[0]
+        sigma0 = dispersion_sigma(sol, hat, 0.0)
+        assert sigma0 == pytest.approx(0.0, abs=1e-12)
+        scan = wavesolver._dispersion_scan
+
+        def flipped(sol, dist, ks):
+            sig = scan(sol, dist, ks)
+            sig[0] = -math.copysign(abs(sig[0]), sigma0)
+            return sig
+
+        monkeypatch.setattr(wavesolver, "_dispersion_scan", flipped)
+        roots = find_bifurcation_points(sol, hat, 0.0, 5.0, scan_points=21)
+        assert roots.tolist() == [0.0]
+
+    @pytest.mark.parametrize("k_min, k_max, scan_points", [
+        (0.0, 5.0, 1), (0.0, 5.0, 0), (2.0, 2.0, 11), (3.0, 1.0, 11),
+        (0.0, math.inf, 11), (math.nan, 5.0, 11),
+    ])
+    def test_bad_scan_rejected(self, moving_bm1, k_min, k_max, scan_points):
+        with pytest.raises(ValueError):
+            find_bifurcation_points(moving_bm1, BM1, k_min, k_max,
+                                    scan_points=scan_points)
+
 
 class TestBifurcationBranch:
     def test_nontrivial_branch(self, moving_bm1):
@@ -315,6 +364,15 @@ class TestBifurcationBranch:
         # unfolded state is even about x = 0
         idx = (64 - np.arange(64)) % 64
         assert np.max(np.abs(eta - eta[idx])) < 1e-12
+
+    def test_raised_flat_state_rejected(self):
+        # the pinned crest also admits eta = h + a, where Newton lands for
+        # this flow instead of on a wave
+        dist = ConstantVorticity(b=-0.5)
+        sol = shear_solution(dist, s=0.0)
+        k = float(find_bifurcation_points(sol, dist)[0])
+        with pytest.raises(NewtonDiverged, match="flat state"):
+            bifurcation_branch(sol, dist, k, amplitude=0.01, nx=64, ny=32)
 
     def test_odd_nx_rejected(self, moving_bm1):
         with pytest.raises(ValueError):
