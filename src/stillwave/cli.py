@@ -117,7 +117,9 @@ def _number_list(cfg: dict, key: str, subcommand: str) -> list:
     return vals
 
 
-def _family_summary(dist, k_max: int) -> dict:
+def _family_summary(dist, k_max: int):
+    """The depths report of a distribution, and the still-depth family
+    members it lists (empty when the family could not be enumerated)."""
     crit = st.critical_surface_speed(dist)
     summary = {"s0": crit.speed, "tau0": crit.maximiser,
                "degenerate": crit.degenerate, "h0": None, "family": [],
@@ -126,18 +128,18 @@ def _family_summary(dist, k_max: int) -> dict:
         summary["h0"] = st.least_still_depth(dist)
     except (st.NotStill, st.DivergentDepth) as exc:
         summary["notes"].append(f"{type(exc).__name__}: {exc}")
-        return summary
+        return summary, []
     try:
         members = st.still_depth_family(dist, k_max)
     except StillwaveError as exc:
         summary["notes"].append(f"{type(exc).__name__}: {exc}")
-        return summary
+        return summary, []
     for m in members:
         sign, k = m.branch
         summary["family"].append({"sign": sign, "k": k, "h": m.depth,
                                   "surface_speed": m.surface_speed,
                                   "still": m.still})
-    return summary
+    return summary, members
 
 
 def _resolve_solution(cfg: dict, dist) -> st.StreamSolution:
@@ -149,10 +151,8 @@ def _resolve_solution(cfg: dict, dist) -> st.StreamSolution:
     """
     if "s" in cfg:
         return st.shear_solution(dist, _number(cfg, "s", 0.0))
-    member = int(cfg.get("member", 0))
-    if member < 0:
-        raise ConfigError("member index must be nonnegative")
-    k_max = int(cfg.get("k_max", max(member, 0)))
+    member = _count(cfg, "member", 0, least=0)
+    k_max = _count(cfg, "k_max", member, least=0)
     family = st.still_depth_family(dist, k_max)
     if member >= len(family):
         raise ConfigError(
@@ -180,53 +180,53 @@ def _surface_csv(path: str, state: ws.WaveState) -> None:
 
 def _cmd_stream(cfg, args, outputs):
     dist = make_distribution(cfg["vorticity"])
-    report = _family_summary(dist, int(cfg.get("k_max", 0)))
+    report, members = _family_summary(dist, _count(cfg, "k_max", 0, least=0))
     if "s" in cfg:
-        sol = st.shear_solution(dist, float(cfg["s"]))
-        report["shear"] = {"s": float(cfg["s"]), "h": sol.depth,
+        s = _number(cfg, "s", 0.0)
+        sol = st.shear_solution(dist, s)
+        report["shear"] = {"s": s, "h": sol.depth,
                            "surface_speed": sol.surface_speed,
                            "still": sol.still}
         if args.csv:
             _profile_csv(args.csv, sol)
             outputs.append(args.csv)
     elif args.csv:
-        if not report["family"]:
+        if not members:
             raise ConfigError("no family member to dump; config has no 's' "
                               "and the family is empty")
-        fam = st.still_depth_family(dist, int(cfg.get("k_max", 0)))
-        _profile_csv(args.csv, fam[0])
+        _profile_csv(args.csv, members[0])
         outputs.append(args.csv)
     return report, 0
 
 
 def _cmd_depths(cfg, args, outputs):
     dist = make_distribution(cfg["vorticity"])
-    return _family_summary(dist, int(cfg.get("k_max", 0))), 0
+    return _family_summary(dist, _count(cfg, "k_max", 0, least=0))[0], 0
 
 
 def _cmd_check(cfg, args, outputs):
     from .hypotheses import check_hypotheses
     dist = make_distribution(cfg["vorticity"])
     sol = _resolve_solution(cfg, dist)
-    report = check_hypotheses(dist, sol, float(cfg.get("slope_bound", 1.0)))
+    report = check_hypotheses(dist, sol, _number(cfg, "slope_bound", 1.0))
     return report.to_dict(), 0 if report.applicable else 2
 
 
 def _cmd_solve(cfg, args, outputs):
     dist = make_distribution(cfg["vorticity"])
     sol = _resolve_solution(cfg, dist)
-    period_L = float(cfg.get("period_L", 2.0))
-    nx = int(cfg.get("nx", 64))
-    ny = int(cfg.get("ny", 32))
-    amp = float(cfg.get("amplitude", 0.0))
+    period_L = _number(cfg, "period_L", 2.0)
+    nx = _count(cfg, "nx", 64, least=4)
+    ny = _count(cfg, "ny", 32, least=4)
+    amp = _number(cfg, "amplitude", 0.0)
     if amp == 0.0:
         state0 = ws.flat_state(sol, dist, period_L, nx, ny)
     else:
         state0 = ws.perturbed_state(sol, dist, period_L, nx, ny, amp,
-                                    mode=int(cfg.get("mode", 1)))
-    res = ws.newton_solve(state0, dist,
-                          tol=float(cfg.get("tol", ws.NEWTON_TOL)),
-                          max_iter=int(cfg.get("max_iter", ws.MAX_NEWTON_ITER)))
+                                    mode=int(_number(cfg, "mode", 1)))
+    res = ws.newton_solve(
+        state0, dist, tol=_number(cfg, "tol", ws.NEWTON_TOL),
+        max_iter=_count(cfg, "max_iter", ws.MAX_NEWTON_ITER, least=0))
     report = {
         "converged": True,
         "iterations": res.iterations,
@@ -251,11 +251,12 @@ def _cmd_sweep(cfg, args, outputs):
         _number_list(cfg, key, "sweep")
     rep = ws.nonexistence_sweep(
         sol, dist, cfg["amplitudes"], cfg["wavelengths"],
-        slope_cap=float(cfg.get("slope_cap", 1.0)),
-        nx=int(cfg.get("nx", 64)), ny=int(cfg.get("ny", 32)),
-        amplitude_cap=cfg.get("amplitude_cap"),
-        flat_tol=float(cfg.get("flat_tol", 1e-8)),
-        threads=cfg.get("threads"))
+        slope_cap=_number(cfg, "slope_cap", 1.0),
+        nx=_count(cfg, "nx", 64, least=4), ny=_count(cfg, "ny", 32, least=4),
+        amplitude_cap=(_number(cfg, "amplitude_cap", 0.0)
+                       if "amplitude_cap" in cfg else None),
+        flat_tol=_number(cfg, "flat_tol", 1e-8),
+        threads=int(_number(cfg, "threads", 1)) if "threads" in cfg else None)
     code = 2 if rep.verdict == ws.VERDICT_NOT_APPLICABLE else 0
     return rep.to_dict(), code
 
@@ -287,7 +288,7 @@ def _cmd_diagnose(cfg, args, outputs):
     dist = make_distribution(cfg["vorticity"])
     sol = _resolve_solution(cfg, dist)
     state_file = cfg.get("state_file") or args.state
-    if not state_file:
+    if not (state_file and isinstance(state_file, str)):
         raise ConfigError("diagnose needs a state: config 'state_file' or --state")
     try:
         with open(state_file, "r", encoding="utf-8") as fh:
@@ -296,10 +297,9 @@ def _cmd_diagnose(cfg, args, outputs):
         raise ConfigError(f"cannot read state {state_file}: {exc}") from exc
     except (json.JSONDecodeError, ValueError) as exc:
         raise ConfigError(f"bad state file {state_file}: {exc}") from exc
-    delta = cfg.get("delta")
-    report = dg.diagnostics_report(state, sol, dist,
-                                   t=float(cfg.get("t", 0.0)),
-                                   delta=None if delta is None else float(delta))
+    delta = None if cfg.get("delta") is None else _number(cfg, "delta", 0.0)
+    report = dg.diagnostics_report(state, sol, dist, t=_number(cfg, "t", 0.0),
+                                   delta=delta)
     return report.to_dict(), 0
 
 

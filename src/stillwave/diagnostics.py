@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from .errors import DepthMismatch
 from .stream import StreamSolution
 from .vorticity import VorticityDistribution
-from .wavesolver import (StripGrid, WaveState, _q_difference_operators,
+from .wavesolver import (StripGrid, WaveState, _difference_matrices,
                          _sparse_solve, flat_state)
 
 __all__ = [
@@ -62,12 +62,6 @@ class PerturbationFields:
     amp_sup: float     # sup (h - eta), signed
 
 
-def _periodic_dx(values: np.ndarray, period_L: float) -> np.ndarray:
-    n = values.shape[0]
-    dx = period_L / n
-    return (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2.0 * dx)
-
-
 def perturbation_fields(state: WaveState,
                         sol: StreamSolution) -> PerturbationFields:
     """Split a state into stream part and perturbation fields.
@@ -91,7 +85,8 @@ def perturbation_fields(state: WaveState,
     surf_gap = 1.0 - np.asarray(sol.U(eta), dtype=float)
     u = surf_gap[:, None] * q[None, :]
     w = phi - u
-    ex = _periodic_dx(eta, state.period_L)
+    ex = _difference_matrices(state.nx, state.period_L / state.nx,
+                              "periodic")[0] @ eta
     return PerturbationFields(state=state, phi=phi, zeta=zeta, u=u, w=w,
                               slope_sup=float(np.max(np.abs(ex))),
                               amp_sup=float(np.max(zeta)))
@@ -179,15 +174,16 @@ def surface_quartic_weighted(zeta: np.ndarray, delta: float, t: float,
     zeta = np.asarray(zeta, dtype=float)
     n = zeta.shape[0]
     dx = period_L / n
-    zx = _periodic_dx(zeta, period_L)
+    zx = _difference_matrices(n, dx, "periodic")[0] @ zeta
     x = np.arange(n) * dx
     W = _copy_weight(x, t, delta, period_L)
     return float(np.sum(W * zeta ** 2 * (zeta ** 2 + zx ** 2)) * dx)
 
 
-def _surface_normal_derivative(field: np.ndarray, state: WaveState) -> np.ndarray:
-    """Normal derivative of a mapped field at the free surface."""
-    grid = StripGrid(state.period_L, state.nx, state.ny, "periodic")
+def _surface_normal_derivative(field: np.ndarray, state: WaveState,
+                               grid: StripGrid) -> np.ndarray:
+    """Normal derivative of a mapped field at the free surface of a state
+    on its own periodic grid."""
     eta = state.eta
     ex = grid.Dx @ eta
     fq = (grid.Dq @ field.T).T
@@ -201,7 +197,8 @@ def _surface_normal_derivative(field: np.ndarray, state: WaveState) -> np.ndarra
 def trace_norm(field: np.ndarray, state: WaveState, t: float = 0.0) -> float:
     """Windowed L^2 norm of a mapped field's normal derivative on the
     free surface."""
-    g = _surface_normal_derivative(field, state)
+    grid = StripGrid(state.period_L, state.nx, state.ny, "periodic")
+    g = _surface_normal_derivative(field, state, grid)
     return windowed_norm(g, t, 2.0, state.period_L)
 
 
@@ -214,8 +211,9 @@ def bernoulli_check(state: WaveState, sol: StreamSolution) -> float:
     for a flat still state both sides vanish.
     """
     fields = perturbation_fields(state, sol)
-    dn_phi = _surface_normal_derivative(fields.phi, state)
-    zx = _periodic_dx(fields.zeta, state.period_L)
+    grid = StripGrid(state.period_L, state.nx, state.ny, "periodic")
+    dn_phi = _surface_normal_derivative(fields.phi, state, grid)
+    zx = grid.Dx @ fields.zeta
     uy_eta = np.asarray(sol.Uy(state.eta), dtype=float)
     rhs = np.abs(dn_phi + uy_eta / np.sqrt(1.0 + zx ** 2)) / math.sqrt(2.0)
     lhs = np.sqrt(np.clip(fields.zeta, 0.0, None))
@@ -240,7 +238,7 @@ def default_decay_rate(sol: StreamSolution,
 
 
 def _solve_first_order_model(sol: StreamSolution, dist: VorticityDistribution,
-                             zeta: np.ndarray, period_L: float, ny: int):
+                             zeta: np.ndarray, grid: StripGrid):
     """Linearised remainder problem on the flat strip 0 < y < h:
 
         laplace(w) + omega'(U) w = -(omega'(U) u + laplace(u)),
@@ -248,13 +246,12 @@ def _solve_first_order_model(sol: StreamSolution, dist: VorticityDistribution,
     periodic in x, w = 0 on both horizontal boundaries, with the data
     field u = (1 - U(h - zeta)) y / (h - zeta). The discrete Laplacian of
     u on the right is built with the same stencils as the operator, so w
-    inherits exactly the quadratic smallness of the boundary data.
+    inherits exactly the quadratic smallness of the boundary data; zeta
+    and the solution live on the periodic grid.
     """
-    nx = zeta.shape[0]
+    nx, ny = grid.nx, grid.ny
     h = sol.depth
-    grid = StripGrid(period_L, nx, ny, "periodic")
-    Dq1, Dq2 = _q_difference_operators(ny)
-    Dyy = Dq2 / h ** 2
+    Dyy = grid.Dqq / h ** 2
 
     y = grid.q * h
     ucol = np.asarray(sol.U(y), dtype=float)
@@ -291,14 +288,14 @@ def manufactured_fields(sol: StreamSolution, dist: VorticityDistribution,
     linearised remainder problem on the flat strip.
     """
     h = sol.depth
-    x = np.arange(nx) * (period_L / nx)
-    zeta = amplitude * np.cos(2.0 * math.pi * mode * x / period_L)
-    w, u = _solve_first_order_model(sol, dist, zeta, period_L, ny)
+    grid = StripGrid(period_L, nx, ny, "periodic")
+    zeta = amplitude * np.cos(2.0 * math.pi * mode * grid.x / period_L)
+    w, u = _solve_first_order_model(sol, dist, zeta, grid)
 
     base = flat_state(sol, dist, period_L, nx, ny)
     state = WaveState(period_L=period_L, nx=nx, ny=ny,
                       psi=base.psi + u + w, eta=h - zeta, r=base.r)
-    ex = _periodic_dx(state.eta, period_L)
+    ex = grid.Dx @ state.eta
     return PerturbationFields(state=state, phi=u + w, zeta=zeta, u=u, w=w,
                               slope_sup=float(np.max(np.abs(ex))),
                               amp_sup=float(np.max(zeta)))

@@ -71,7 +71,6 @@ class StreamProfile:
     y_grid: np.ndarray
     U_values: np.ndarray
     Uy_values: np.ndarray
-    turning_points: np.ndarray
     _dense: object = field(repr=False)
 
     def U(self, y):
@@ -109,30 +108,34 @@ class CriticalSpeed(NamedTuple):
     degenerate: bool
 
 
+def _cauchy_rhs(dist: VorticityDistribution):
+    """U'' = -omega(U) as a first-order system in (U, U')."""
+    def rhs(y, st):
+        return (st[1], -float(dist.omega(st[0])))
+    return rhs
+
+
+def _turning_event(terminal: bool = False):
+    """Event function of the system above that fires where U' vanishes."""
+    def turning(y, st):
+        return st[1]
+    turning.terminal = terminal
+    return turning
+
+
 def solve_cauchy(dist: VorticityDistribution, s: float, y_max: float,
                  rtol: float = INTEGRATOR_RTOL,
                  atol: float = INTEGRATOR_ATOL) -> StreamProfile:
     """Integrate U'' = -omega(U) from the bed with dense output.
 
-    y_max may be negative (integration toward negative y). Zeros of U'
-    are located by event detection and recorded as turning points.
+    y_max may be negative (integration toward negative y).
     """
-
-    def rhs(y, st):
-        return (st[1], -float(dist.omega(st[0])))
-
-    def turning(y, st):
-        return st[1]
-
-    turning.direction = 0
-
-    sol = solve_ivp(rhs, (0.0, y_max), (0.0, float(s)), method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=(turning,))
+    sol = solve_ivp(_cauchy_rhs(dist), (0.0, y_max), (0.0, float(s)),
+                    method="DOP853", rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         raise StepFailure(f"integrator failed on [0, {y_max}]: {sol.message}")
     return StreamProfile(s=float(s), y_grid=sol.t, U_values=sol.y[0],
-                         Uy_values=sol.y[1], turning_points=sol.t_events[0],
-                         _dense=sol.sol)
+                         Uy_values=sol.y[1], _dense=sol.sol)
 
 
 def critical_surface_speed(dist: VorticityDistribution,
@@ -226,17 +229,9 @@ def monotone_interval_lower(dist: VorticityDistribution, s0: float,
         except (NotStill, DivergentDepth):
             horizon = 100.0
 
-    def rhs(y, st):
-        return (st[1], -float(dist.omega(st[0])))
-
-    def turning(y, st):
-        return st[1]
-
-    turning.terminal = True
-    turning.direction = 0
-
-    sol = solve_ivp(rhs, (0.0, -abs(horizon)), (0.0, float(s0)), method="DOP853",
-                    rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL, events=(turning,))
+    sol = solve_ivp(_cauchy_rhs(dist), (0.0, -abs(horizon)), (0.0, float(s0)),
+                    method="DOP853", rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL,
+                    events=(_turning_event(terminal=True),))
     if not sol.success:
         raise StepFailure(f"backward integration failed: {sol.message}")
     if sol.t_events[0].size:
@@ -316,23 +311,15 @@ def shear_solution(dist: VorticityDistribution, s: float,
     oscillates below 1 or exhausts the search limit.
     """
 
-    def rhs(y, st):
-        return (st[1], -float(dist.omega(st[0])))
-
     def reach(y, st):
         return st[0] - 1.0
 
-    def turning(y, st):
-        return st[1]
-
-    reach.direction = 0
-    turning.direction = 0
-
     limits = [y_limit] if y_limit is not None else [10.0, 100.0, 1000.0]
     for Y in limits:
-        sol = solve_ivp(rhs, (0.0, Y), (0.0, float(s)), method="DOP853",
-                        rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL,
-                        dense_output=True, events=(reach, turning))
+        sol = solve_ivp(_cauchy_rhs(dist), (0.0, Y), (0.0, float(s)),
+                        method="DOP853", rtol=INTEGRATOR_RTOL,
+                        atol=INTEGRATOR_ATOL, dense_output=True,
+                        events=(reach, _turning_event()))
         candidates = [float(t) for t in sol.t_events[0] if t > 1e-12]
         for t in sol.t_events[1]:
             if t > 1e-12 and abs(float(sol.sol(t)[0]) - 1.0) <= 1e-6:

@@ -7,7 +7,6 @@ stream function. The solvers only ever need four things from it:
     antiderivative(tau)   Omega(tau) = integral of omega from 0 to tau
     derivative(tau)       omega'(tau), one-sided at kinks
     sup_derivative()      ess sup of omega' over the real line
-    lipschitz_constant()  sup of |omega'|
 
 Four families are provided. "constant", "linear" and "quadratic_truncated"
 carry closed-form antiderivatives; "tabulated" interpolates node data
@@ -37,7 +36,6 @@ class VorticityDistribution:
     """Common interface of all vorticity families."""
 
     family = "abstract"
-    antiderivative_mode = "closed-form"
 
     def omega(self, tau):
         raise NotImplementedError
@@ -50,13 +48,6 @@ class VorticityDistribution:
 
     def sup_derivative(self) -> float:
         """ess sup of omega' over the real line (signed)."""
-        raise NotImplementedError
-
-    def lipschitz_constant(self) -> float:
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        """JSON-ready summary used by the CLI."""
         raise NotImplementedError
 
 
@@ -78,12 +69,6 @@ class ConstantVorticity(VorticityDistribution):
     def sup_derivative(self) -> float:
         return 0.0
 
-    def lipschitz_constant(self) -> float:
-        return 0.0
-
-    def describe(self) -> dict:
-        return {"family": self.family, "b": self.b}
-
 
 @dataclass(frozen=True)
 class LinearVorticity(VorticityDistribution):
@@ -103,12 +88,6 @@ class LinearVorticity(VorticityDistribution):
 
     def sup_derivative(self) -> float:
         return self.b
-
-    def lipschitz_constant(self) -> float:
-        return abs(self.b)
-
-    def describe(self) -> dict:
-        return {"family": self.family, "b": self.b}
 
 
 @dataclass(frozen=True)
@@ -150,12 +129,6 @@ class QuadraticTruncatedVorticity(VorticityDistribution):
     def sup_derivative(self) -> float:
         return 2.0 * self.b * self.R
 
-    def lipschitz_constant(self) -> float:
-        return 2.0 * self.b * self.R
-
-    def describe(self) -> dict:
-        return {"family": self.family, "b": self.b, "R": self.R}
-
 
 @dataclass(frozen=True, eq=False)
 class TabulatedVorticity(VorticityDistribution):
@@ -171,7 +144,6 @@ class TabulatedVorticity(VorticityDistribution):
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     family = "tabulated"
-    antiderivative_mode = "numeric"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -220,22 +192,10 @@ class TabulatedVorticity(VorticityDistribution):
         outside = (t < x[0]) | (t > x[-1])
         return np.where(outside, 0.0, slope)[()]
 
-    def _slopes(self):
-        return np.diff(self.values) / np.diff(self.nodes)
-
     def sup_derivative(self) -> float:
         # constant extension outside the nodes contributes slope 0
-        return float(max(np.max(self._slopes()), 0.0))
-
-    def lipschitz_constant(self) -> float:
-        return float(np.max(np.abs(self._slopes())))
-
-    def describe(self) -> dict:
-        return {
-            "family": self.family,
-            "nodes": self.nodes.tolist(),
-            "values": self.values.tolist(),
-        }
+        slopes = np.diff(self.values) / np.diff(self.nodes)
+        return float(max(np.max(slopes), 0.0))
 
 
 _FAMILIES = {

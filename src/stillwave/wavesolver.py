@@ -74,25 +74,41 @@ VERDICT_INCONSISTENT = "inconsistent: nontrivial state found"
 VERDICT_INCONCLUSIVE = "inconclusive: solver failures"
 
 
-def _q_difference_operators(ny: int):
-    """First and second difference matrices on the ny+1 q-nodes, centered
-    inside with one-sided second-order closures at both boundary rows."""
-    dq = 1.0 / ny
-    c1, c2 = 1.0 / (2.0 * dq), 1.0 / dq ** 2
-    D1 = sp.lil_matrix((ny + 1, ny + 1))
-    D2 = sp.lil_matrix((ny + 1, ny + 1))
-    for j in range(1, ny):
-        D1[j, j + 1] = c1
-        D1[j, j - 1] = -c1
-        D2[j, j] = -2.0 * c2
-        D2[j, j + 1] = c2
-        D2[j, j - 1] = c2
-    D1[0, 0], D1[0, 1], D1[0, 2] = -3.0 * c1, 4.0 * c1, -c1
-    D1[ny, ny], D1[ny, ny - 1], D1[ny, ny - 2] = 3.0 * c1, -4.0 * c1, c1
-    D2[0, 0], D2[0, 1], D2[0, 2], D2[0, 3] = 2.0 * c2, -5.0 * c2, 4.0 * c2, -c2
-    D2[ny, ny], D2[ny, ny - 1], D2[ny, ny - 2], D2[ny, ny - 3] = \
-        2.0 * c2, -5.0 * c2, 4.0 * c2, -c2
-    return D1.tocsr(), D2.tocsr()
+def _difference_matrices(n: int, h: float, closure: str):
+    """First and second difference matrices (CSR) on n nodes of spacing h.
+
+    Inside, the three-point centered stencils. The end rows are closed by
+    closure: "periodic" wraps the stencils around, "reflect" mirrors the
+    nodes evenly about each end, f(-h) = f(h), so the first difference
+    vanishes there, and "one-sided" uses second-order one-sided stencils.
+    """
+    c1, c2 = 1.0 / (2.0 * h), 1.0 / h ** 2
+    if closure == "one-sided":
+        ends = ((-3.0 * c1, 4.0 * c1, -c1),
+                (2.0 * c2, -5.0 * c2, 4.0 * c2, -c2))
+    else:
+        ends = ((), (-2.0 * c2, 2.0 * c2))
+    mats = []
+    # row 0 takes its end stencil at offsets 0, 1, ...; row n-1 the mirror
+    # image at offsets 0, -1, ..., with the sign flipped for D1
+    for centered, end, sign in (((-c1, 0.0, c1), ends[0], -1.0),
+                                ((c2, -2.0 * c2, c2), ends[1], 1.0)):
+        diags = {k: np.full(n - abs(k), v)
+                 for k, v in zip((-1, 0, 1), centered)}
+        if closure == "periodic":
+            diags[n - 1], diags[1 - n] = [centered[0]], [centered[2]]
+        else:
+            # the end stencils replace the centered one in the end rows
+            diags[0][[0, -1]] = diags[1][0] = diags[-1][-1] = 0.0
+            for k, v in enumerate(end):
+                diags.setdefault(k, np.zeros(n - k))[0] = v
+                diags.setdefault(-k, np.zeros(n - k))[-1] = sign * v
+        offsets = sorted(diags)
+        D = sp.diags([diags[k] for k in offsets], offsets, shape=(n, n),
+                     format="csr")
+        D.eliminate_zeros()
+        mats.append(D)
+    return tuple(mats)
 
 
 class StripGrid:
@@ -119,66 +135,32 @@ class StripGrid:
         self.topology = topology
         self.periodic = topology == "periodic"
 
-        if self.periodic:
-            self.dx = self.period_L / nx
-            self.x = np.arange(nx) * self.dx
-        else:
-            self.dx = (self.period_L / 2.0) / (nx - 1)
-            self.x = np.arange(nx) * self.dx
+        self.dx = (self.period_L / nx if self.periodic
+                   else (self.period_L / 2.0) / (nx - 1))
+        self.x = np.arange(nx) * self.dx
         self.dq = 1.0 / ny
         self.q = np.linspace(0.0, 1.0, ny + 1)
 
-        self.Dx, self.Dxx = self._x_operators()
-        self.Dq, self.Dqq = self._q_operators()
-
-        # constant kron factors of the psi-block, cached across Newton steps
-        Iq = sp.identity(ny + 1, format="csr")
-        Ix = sp.identity(nx, format="csr")
-        self._K_xx = sp.kron(self.Dxx, Iq, format="csr")
-        self._K_qq = sp.kron(Ix, self.Dqq, format="csr")
-        self._K_xq = sp.kron(self.Dx, self.Dq, format="csr")
-        self._K_q = sp.kron(Ix, self.Dq, format="csr")
-
-        jj, ii = np.meshgrid(np.arange(1, ny), np.arange(nx))
-        self._interior_rows = (ii * (ny + 1) + jj).ravel()
+        self.Dx, self.Dxx = _difference_matrices(nx, self.dx, topology)
+        self.Dq, self.Dqq = _difference_matrices(ny + 1, self.dq, "one-sided")
 
     @cached_property
-    def _eta_spread(self):
-        """E, E Dx and E Dxx for the eta-block, E spreading each x node
-        over its interior rows; built on the first Jacobian assembly."""
+    def _jacobian_factors(self):
+        """Constant factors of the Jacobian, built on the first assembly:
+        the kron factors of the psi-block Dxx, Dqq, Dx Dq and Dq on
+        interior rows and columns, then E, E Dx and E Dxx of the
+        eta-block, E spreading each x node over its interior rows."""
+        inner = slice(1, self.ny)
+        Dq, Dqq = self.Dq[inner, inner], self.Dqq[inner, inner]
+        Ix = sp.identity(self.nx, format="csr")
         col = np.ones((self.ny - 1, 1))
-        return tuple(sp.kron(D, col, format="csr")
-                     for D in (sp.identity(self.nx), self.Dx, self.Dxx))
-
-    def _x_operators(self):
-        nx, dx = self.nx, self.dx
-        c1, c2 = 1.0 / (2.0 * dx), 1.0 / dx ** 2
-        D1 = sp.lil_matrix((nx, nx))
-        D2 = sp.lil_matrix((nx, nx))
-        for i in range(nx):
-            if self.periodic:
-                D1[i, (i + 1) % nx] += c1
-                D1[i, (i - 1) % nx] -= c1
-                D2[i, i] -= 2.0 * c2
-                D2[i, (i + 1) % nx] += c2
-                D2[i, (i - 1) % nx] += c2
-            elif i == 0:
-                # even reflection: f(-dx) = f(dx)
-                D2[0, 0] = -2.0 * c2
-                D2[0, 1] = 2.0 * c2
-            elif i == nx - 1:
-                D2[i, i] = -2.0 * c2
-                D2[i, i - 1] = 2.0 * c2
-            else:
-                D1[i, i + 1] = c1
-                D1[i, i - 1] = -c1
-                D2[i, i] = -2.0 * c2
-                D2[i, i + 1] = c2
-                D2[i, i - 1] = c2
-        return D1.tocsr(), D2.tocsr()
-
-    def _q_operators(self):
-        return _q_difference_operators(self.ny)
+        return (sp.kron(self.Dxx, sp.identity(self.ny - 1, format="csr"),
+                        format="csr"),
+                sp.kron(Ix, Dqq, format="csr"),
+                sp.kron(self.Dx, Dq, format="csr"),
+                sp.kron(Ix, Dq, format="csr"),
+                *(sp.kron(D, col, format="csr")
+                  for D in (Ix, self.Dx, self.Dxx)))
 
 
 @dataclass(eq=False)
@@ -290,7 +272,7 @@ def _polish_flat_column(col: np.ndarray, h: float, ny: int,
     dq = 1.0 / ny
     col = col.copy()
     col[0], col[-1] = 0.0, 1.0
-    _, D2 = _q_difference_operators(ny)
+    _, D2 = _difference_matrices(ny + 1, dq, "one-sided")
     J_core = (D2[1:ny, 1:ny] / h ** 2).toarray()
     best = col.copy()
     best_norm = math.inf
@@ -424,6 +406,8 @@ def _assemble_jacobian(psi, eta, grid: StripGrid, dist,
     eta[index] = value joins the rows.
     """
     nx, ny = grid.nx, grid.ny
+    inner = slice(1, ny)
+    K_xx, K_qq, K_xq, K_q, E, E_x, E_xx = grid._jacobian_factors
     q = grid.q[None, :]
     ex = grid.Dx @ eta
     exx = grid.Dxx @ eta
@@ -431,19 +415,14 @@ def _assemble_jacobian(psi, eta, grid: StripGrid, dist,
     qe = q * ex[:, None] * inv_eta
     metric = 1.0 + (q * ex[:, None]) ** 2
 
-    c_qq = (metric * inv_eta ** 2).ravel()
-    c_xq = (-2.0 * qe).ravel()
+    c_qq = (metric * inv_eta ** 2)[:, inner].ravel()
+    c_xq = (-2.0 * qe)[:, inner].ravel()
     c_q = (q * (2.0 * (ex[:, None] * inv_eta) ** 2
-                - exx[:, None] * inv_eta)).ravel()
-    wprime = np.asarray(dist.derivative(psi), dtype=float).ravel()
+                - exx[:, None] * inv_eta))[:, inner].ravel()
+    wprime = np.asarray(dist.derivative(psi[:, inner]), dtype=float).ravel()
 
-    J_full = (grid._K_xx
-              + sp.diags(c_qq) @ grid._K_qq
-              + sp.diags(c_xq) @ grid._K_xq
-              + sp.diags(c_q) @ grid._K_q
-              + sp.diags(wprime))
-    rows = grid._interior_rows
-    J_pp = J_full.tocsr()[rows][:, rows]
+    J_pp = (K_xx + sp.diags(c_qq) @ K_qq + sp.diags(c_xq) @ K_xq
+            + sp.diags(c_q) @ K_q + sp.diags(wprime))
 
     # bernoulli rows, analytic in the two topmost interior psi values
     pq = (grid.Dq @ psi.T).T
@@ -461,7 +440,6 @@ def _assemble_jacobian(psi, eta, grid: StripGrid, dist,
     # eta-block: derivatives of c_qq, c_xq, c_q times the Psi terms they scale
     pqq = (grid.Dqq @ psi.T).T
     pxq = (grid.Dq @ (grid.Dx @ psi).T).T
-    inner = slice(1, ny)
     d_eta = (-2.0 * metric * inv_eta ** 3 * pqq
              + 2.0 * qe * inv_eta * pxq
              + q * (exx[:, None] - 4.0 * ex[:, None] ** 2 * inv_eta)
@@ -469,7 +447,6 @@ def _assemble_jacobian(psi, eta, grid: StripGrid, dist,
     d_ex = (2.0 * q * qe * inv_eta * pqq - 2.0 * q * inv_eta * pxq
             + 4.0 * qe * inv_eta * pq)[:, inner].ravel()
     d_exx = (-q * inv_eta * pq)[:, inner].ravel()
-    E, E_x, E_xx = grid._eta_spread
     J_pe = (sp.diags(d_eta) @ E + sp.diags(d_ex) @ E_x
             + sp.diags(d_exx) @ E_xx)
     s2 = (pq_s / eta) ** 2

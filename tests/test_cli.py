@@ -233,6 +233,31 @@ class TestPlumbing:
         code, _, _, _ = _run(tmp_path, "check", dict(B2, member=7))
         assert code == 1
 
+    @pytest.mark.parametrize("sub, bad", [
+        ("solve", {"nx": None}), ("solve", {"period_L": "2"}),
+        ("solve", {"max_iter": [3]}), ("check", {"member": [1]}),
+        ("check", {"slope_bound": None}), ("stream", {"s": None}),
+        ("depths", {"k_max": None}), ("sweep", {"amplitude_cap": "x"}),
+        ("sweep", {"threads": None}), ("diagnose", {"t": None}),
+        ("diagnose", {"delta": "x"}),
+    ])
+    def test_malformed_numeric_field_fails(self, tmp_path, capsys, sub, bad):
+        extra = []
+        if sub == "diagnose":
+            from stillwave.stream import still_depth_family
+            from stillwave.vorticity import ConstantVorticity
+            from stillwave.wavesolver import flat_state
+            dist = ConstantVorticity(b=2.0)
+            state = flat_state(still_depth_family(dist)[0], dist, 2.0, 8, 6)
+            extra = ["--state", _write(tmp_path, "state.json",
+                                       state.to_dict())]
+        cfg = {**B2, "amplitudes": [0.01], "wavelengths": [2.0], "nx": 16,
+               "ny": 8, **bad}
+        code, report, _, _ = _run(tmp_path, sub, cfg, extra=extra)
+        assert code == 1
+        assert report is None
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:
             cli.run(["--version"])

@@ -78,12 +78,6 @@ class TestCauchyProblem:
             prof = solve_cauchy(dist, s=float(s), y_max=3.0)
             assert prof.first_integral_defect(dist) < 1e-9
 
-    def test_turning_points_recorded(self):
-        # U = 0.5 sin y turns at odd multiples of pi/2
-        prof = solve_cauchy(LinearVorticity(b=1.0), s=0.5, y_max=5.0)
-        expected = np.array([np.pi / 2.0, 3.0 * np.pi / 2.0])
-        assert np.max(np.abs(prof.turning_points[:2] - expected)) < 1e-8
-
 
 class TestLeastDepth:
     def test_constant_b2_exact(self):

@@ -89,6 +89,23 @@ class TestStripGrid:
         lam = -(2.0 - 2.0 * np.cos(k * g.dx)) / g.dx ** 2
         assert np.max(np.abs(g.Dxx @ v - lam * v)) < 1e-9
 
+    @pytest.mark.parametrize("ny", [4, 5, 16])
+    def test_q_closures_exact_on_low_degree(self, ny):
+        # the one-sided boundary rows are second order like the centered
+        # ones: Dq reproduces quadratics and Dqq cubics at every row
+        g = StripGrid(2.0, 8, ny)
+        q = g.q
+        quad, cubic = 1.0 - 3.0 * q + 2.5 * q ** 2, 0.5 + q - 2.0 * q ** 2 + 3.0 * q ** 3
+        assert np.max(np.abs(g.Dq @ quad - (-3.0 + 5.0 * q))) < 1e-11
+        assert np.max(np.abs(g.Dqq @ cubic - (-4.0 + 18.0 * q))) < 1e-9
+
+    def test_reflect_first_difference_vanishes_at_the_ends(self):
+        g = StripGrid(2.0, 9, 8, "reflect")
+        assert g.Dx.getrow(0).nnz == 0 and g.Dx.getrow(8).nnz == 0
+        v = np.exp(g.x)
+        assert np.all((g.Dx @ v)[1:-1] != 0.0)
+        assert (g.Dx @ v)[0] == 0.0 and (g.Dx @ v)[-1] == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             StripGrid(-1.0, 8, 8)
