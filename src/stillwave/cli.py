@@ -102,8 +102,15 @@ def _number(cfg: dict, key: str, default: float) -> float:
     return float(v)
 
 
+def _integer(cfg: dict, key: str, default: int) -> int:
+    v = _number(cfg, key, default)
+    if not v.is_integer():
+        raise ConfigError(f"config '{key}' must be an integer, got {v!r}")
+    return int(v)
+
+
 def _count(cfg: dict, key: str, default: int, least: int) -> int:
-    n = int(_number(cfg, key, default))
+    n = _integer(cfg, key, default)
     if n < least:
         raise ConfigError(f"config '{key}' must be at least {least}, got {n}")
     return n
@@ -223,7 +230,7 @@ def _cmd_solve(cfg, args, outputs):
         state0 = ws.flat_state(sol, dist, period_L, nx, ny)
     else:
         state0 = ws.perturbed_state(sol, dist, period_L, nx, ny, amp,
-                                    mode=int(_number(cfg, "mode", 1)))
+                                    mode=_integer(cfg, "mode", 1))
     res = ws.newton_solve(
         state0, dist, tol=_number(cfg, "tol", ws.NEWTON_TOL),
         max_iter=_count(cfg, "max_iter", ws.MAX_NEWTON_ITER, least=0))
@@ -256,7 +263,7 @@ def _cmd_sweep(cfg, args, outputs):
         amplitude_cap=(_number(cfg, "amplitude_cap", 0.0)
                        if "amplitude_cap" in cfg else None),
         flat_tol=_number(cfg, "flat_tol", 1e-8),
-        threads=int(_number(cfg, "threads", 1)) if "threads" in cfg else None)
+        threads=_integer(cfg, "threads", 1) if "threads" in cfg else None)
     code = 2 if rep.verdict == ws.VERDICT_NOT_APPLICABLE else 0
     return rep.to_dict(), code
 

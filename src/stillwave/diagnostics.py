@@ -139,6 +139,15 @@ def _copy_weight(x: np.ndarray, t: float, delta: float,
     return np.exp(-delta * np.abs(t - (x[:, None] + ms[None, :] * period_L))).sum(axis=1)
 
 
+def _physical_gradient(field: np.ndarray, eta: np.ndarray, ex: np.ndarray,
+                       grid: StripGrid):
+    """Physical (d/dx, d/dy) of a mapped field f(x, q) with q = y / eta(x),
+    by the chain rule; ex is the discrete eta_x."""
+    fq = (grid.Dq @ field.T).T
+    return (grid.Dx @ field - grid.q[None, :] * (ex / eta)[:, None] * fq,
+            fq / eta[:, None])
+
+
 def weighted_energy(fields: PerturbationFields, delta: float,
                     t: float = 0.0) -> float:
     """Exponentially weighted H^1-type energy of w over the fluid domain.
@@ -151,13 +160,8 @@ def weighted_energy(fields: PerturbationFields, delta: float,
     w = fields.w
     nx, ny = state.nx, state.ny
     grid = StripGrid(state.period_L, nx, ny, "periodic")
-    q = grid.q[None, :]
     eta = state.eta
-    ex = grid.Dx @ eta
-
-    wq = (grid.Dq @ w.T).T
-    wx = grid.Dx @ w - q * (ex / eta)[:, None] * wq
-    wy = wq / eta[:, None]
+    wx, wy = _physical_gradient(w, eta, grid.Dx @ eta, grid)
     dens = w ** 2 + wx ** 2 + wy ** 2
 
     tq = np.full(ny + 1, grid.dq)
@@ -184,14 +188,9 @@ def _surface_normal_derivative(field: np.ndarray, state: WaveState,
                                grid: StripGrid) -> np.ndarray:
     """Normal derivative of a mapped field at the free surface of a state
     on its own periodic grid."""
-    eta = state.eta
-    ex = grid.Dx @ eta
-    fq = (grid.Dq @ field.T).T
-    fx_map = grid.Dx @ field
-    # physical x-derivative at q = 1, then the unit-normal combination
-    fx = fx_map[:, -1] - (ex / eta) * fq[:, -1]
-    fy = fq[:, -1] / eta
-    return (-ex * fx + fy) / np.sqrt(1.0 + ex ** 2)
+    ex = grid.Dx @ state.eta
+    fx, fy = _physical_gradient(field, state.eta, ex, grid)
+    return (-ex * fx[:, -1] + fy[:, -1]) / np.sqrt(1.0 + ex ** 2)
 
 
 def trace_norm(field: np.ndarray, state: WaveState, t: float = 0.0) -> float:
@@ -251,7 +250,6 @@ def _solve_first_order_model(sol: StreamSolution, dist: VorticityDistribution,
     """
     nx, ny = grid.nx, grid.ny
     h = sol.depth
-    Dyy = grid.Dqq / h ** 2
 
     y = grid.q * h
     ucol = np.asarray(sol.U(y), dtype=float)
@@ -261,15 +259,13 @@ def _solve_first_order_model(sol: StreamSolution, dist: VorticityDistribution,
     gap = (1.0 - np.asarray(sol.U(eta), dtype=float)) / eta
     u = gap[:, None] * y[None, :]
 
-    lap_u = grid.Dxx @ u + (Dyy @ u.T).T
+    lap_u = grid.Dxx @ u + ((grid.Dqq / h ** 2) @ u.T).T
     rhs = -(wp_col[None, :] * u + lap_u)[:, 1:ny]
 
-    ny_int = ny - 1
-    Ix = sp.identity(nx, format="csr")
-    A = (sp.kron(grid.Dxx, sp.identity(ny_int), format="csr")
-         + sp.kron(Ix, Dyy[1:ny, 1:ny], format="csr")
-         + sp.kron(Ix, sp.diags(wp_col[1:ny]), format="csr"))
-    w_int = _sparse_solve(A, rhs.ravel()).reshape(nx, ny_int)
+    # the flat psi-block of the free-boundary Jacobian at depth h
+    K_xx, K_qq = grid._jacobian_factors[:2]
+    A = K_xx + K_qq / h ** 2 + sp.diags(np.tile(wp_col[1:ny], nx))
+    w_int = _sparse_solve(A, rhs.ravel()).reshape(nx, ny - 1)
 
     w = np.zeros((nx, ny + 1))
     w[:, 1:ny] = w_int

@@ -87,7 +87,7 @@ def _half_integral(f, a, b, expo, other_expo, span, tol, from_left):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         val, err = quad(g, 0.0, smax, epsabs=0.5 * tol, epsrel=1e-12, limit=200)
-    if not math.isfinite(val) or err > max(tol, 1e-13 * abs(val)):
+    if not math.isfinite(val) or err > max(tol, 1e-12 * abs(val)):
         raise NonIntegrable(
             f"quadrature failed to reach tolerance (estimate {err:.3e})")
     return val

@@ -68,7 +68,6 @@ class StreamProfile:
     """Dense solution of the bed Cauchy problem for one slope s."""
 
     s: float
-    y_grid: np.ndarray
     U_values: np.ndarray
     Uy_values: np.ndarray
     _dense: object = field(repr=False)
@@ -134,7 +133,7 @@ def solve_cauchy(dist: VorticityDistribution, s: float, y_max: float,
                     method="DOP853", rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         raise StepFailure(f"integrator failed on [0, {y_max}]: {sol.message}")
-    return StreamProfile(s=float(s), y_grid=sol.t, U_values=sol.y[0],
+    return StreamProfile(s=float(s), U_values=sol.y[0],
                          Uy_values=sol.y[1], _dense=sol.sol)
 
 

@@ -39,7 +39,7 @@ from scipy.sparse.linalg import splu
 from .errors import (ConfigError, InvalidSweepCase, NewtonDiverged,
                      SurfaceCollapse)
 from .hypotheses import HypothesisReport, check_hypotheses
-from .stream import StreamSolution
+from .stream import StreamSolution, _cauchy_rhs
 from .vorticity import VorticityDistribution
 
 __all__ = [
@@ -88,6 +88,9 @@ def _difference_matrices(n: int, h: float, closure: str):
                 (2.0 * c2, -5.0 * c2, 4.0 * c2, -c2))
     else:
         ends = ((), (-2.0 * c2, 2.0 * c2))
+    width = 4 if closure == "one-sided" else 3
+    if n < width:
+        raise ValueError(f"{closure} stencils need at least {width} nodes")
     mats = []
     # row 0 takes its end stencil at offsets 0, 1, ...; row n-1 the mirror
     # image at offsets 0, -1, ..., with the sign flipped for D1
@@ -133,9 +136,8 @@ class StripGrid:
         self.nx = int(nx)
         self.ny = int(ny)
         self.topology = topology
-        self.periodic = topology == "periodic"
 
-        self.dx = (self.period_L / nx if self.periodic
+        self.dx = (self.period_L / nx if topology == "periodic"
                    else (self.period_L / 2.0) / (nx - 1))
         self.x = np.arange(nx) * self.dx
         self.dq = 1.0 / ny
@@ -147,9 +149,9 @@ class StripGrid:
     @cached_property
     def _jacobian_factors(self):
         """Constant factors of the Jacobian, built on the first assembly:
-        the kron factors of the psi-block Dxx, Dqq, Dx Dq and Dq on
-        interior rows and columns, then E, E Dx and E Dxx of the
-        eta-block, E spreading each x node over its interior rows."""
+        Dxx, Dqq, Dx Dq and Dq of the psi-block on interior nodes, E, E Dx
+        and E Dxx of the eta-block (E spreads each x node over its interior
+        rows), and S, the surface row of Dq on interior columns."""
         inner = slice(1, self.ny)
         Dq, Dqq = self.Dq[inner, inner], self.Dqq[inner, inner]
         Ix = sp.identity(self.nx, format="csr")
@@ -160,7 +162,8 @@ class StripGrid:
                 sp.kron(self.Dx, Dq, format="csr"),
                 sp.kron(Ix, Dq, format="csr"),
                 *(sp.kron(D, col, format="csr")
-                  for D in (Ix, self.Dx, self.Dxx)))
+                  for D in (Ix, self.Dx, self.Dxx)),
+                sp.kron(Ix, self.Dq[-1:, inner], format="csr"))
 
 
 @dataclass(eq=False)
@@ -329,12 +332,16 @@ def perturbed_state(sol: StreamSolution, dist: VorticityDistribution,
 
 
 class _ResidualParts(NamedTuple):
+    """Residual rows of one state and the derivatives its Jacobian reuses."""
     pde: np.ndarray        # (nx, ny - 1), interior collocation rows
     bern: np.ndarray       # (nx,)
     bottom: np.ndarray     # (nx,)
     top: np.ndarray        # (nx,)
-    surface_pq: np.ndarray  # (nx,), one-sided Psi_q at q = 1
     ex: np.ndarray         # (nx,), discrete eta_x
+    exx: np.ndarray        # (nx,), discrete eta_xx
+    pq: np.ndarray         # (nx, ny + 1), Psi_q
+    pqq: np.ndarray        # (nx, ny + 1), Psi_qq
+    pxq: np.ndarray        # (nx, ny + 1), Psi_xq
 
 
 def _residual_parts(psi, eta, r, grid: StripGrid,
@@ -357,15 +364,20 @@ def _residual_parts(psi, eta, r, grid: StripGrid,
     lap = pxx + c_qq * pqq + c_xq * pxq + c_q * pq
     pde = lap[:, 1:ny] + np.asarray(dist.omega(psi[:, 1:ny]), dtype=float)
 
-    surface_pq = pq[:, ny]
-    bern = (1.0 + ex ** 2) * (surface_pq / eta) ** 2 + 2.0 * eta - 3.0 * r
+    bern = (1.0 + ex ** 2) * (pq[:, ny] / eta) ** 2 + 2.0 * eta - 3.0 * r
     return _ResidualParts(pde=pde, bern=bern, bottom=psi[:, 0],
-                          top=psi[:, ny] - 1.0, surface_pq=surface_pq, ex=ex)
+                          top=psi[:, ny] - 1.0, ex=ex, exx=exx, pq=pq,
+                          pqq=pqq, pxq=pxq)
 
 
-def _residual_vec(psi, eta, r, grid, dist) -> np.ndarray:
-    parts = _residual_parts(psi, eta, r, grid, dist)
+def _residual_vec(parts: _ResidualParts) -> np.ndarray:
+    """F = [pde rows; bernoulli rows], the rows Newton drives to zero."""
     return np.concatenate([parts.pde.ravel(), parts.bern])
+
+
+def _norms(parts: _ResidualParts) -> ResidualNorms:
+    return ResidualNorms(*(float(np.max(np.abs(a))) for a in
+                           (parts.pde, parts.bottom, parts.top, parts.bern)))
 
 
 def residual_fields(state: WaveState, dist: VorticityDistribution) -> dict:
@@ -377,11 +389,8 @@ def residual_fields(state: WaveState, dist: VorticityDistribution) -> dict:
 
 
 def residual_norms(state: WaveState, dist: VorticityDistribution) -> ResidualNorms:
-    f = residual_fields(state, dist)
-    return ResidualNorms(pde=float(np.max(np.abs(f["pde"]))),
-                         bottom=float(np.max(np.abs(f["bottom"]))),
-                         top=float(np.max(np.abs(f["top"]))),
-                         bernoulli=float(np.max(np.abs(f["bernoulli"]))))
+    grid = StripGrid(state.period_L, state.nx, state.ny, "periodic")
+    return _norms(_residual_parts(state.psi, state.eta, state.r, grid, dist))
 
 
 def _sparse_solve(A, b: np.ndarray) -> np.ndarray:
@@ -391,8 +400,8 @@ def _sparse_solve(A, b: np.ndarray) -> np.ndarray:
     return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
 
 
-def _assemble_jacobian(psi, eta, grid: StripGrid, dist,
-                       pin: Optional[tuple] = None):
+def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
+                       dist, pin: Optional[tuple] = None):
     """Jacobian of [pde rows; bernoulli rows] wrt [interior psi; eta].
 
     Both blocks are exact and sparse. The operator is linear in Psi apart
@@ -407,10 +416,9 @@ def _assemble_jacobian(psi, eta, grid: StripGrid, dist,
     """
     nx, ny = grid.nx, grid.ny
     inner = slice(1, ny)
-    K_xx, K_qq, K_xq, K_q, E, E_x, E_xx = grid._jacobian_factors
+    K_xx, K_qq, K_xq, K_q, E, E_x, E_xx, S = grid._jacobian_factors
+    ex, exx, pq, pqq, pxq = parts.ex, parts.exx, parts.pq, parts.pqq, parts.pxq
     q = grid.q[None, :]
-    ex = grid.Dx @ eta
-    exx = grid.Dxx @ eta
     inv_eta = 1.0 / eta[:, None]
     qe = q * ex[:, None] * inv_eta
     metric = 1.0 + (q * ex[:, None]) ** 2
@@ -424,22 +432,11 @@ def _assemble_jacobian(psi, eta, grid: StripGrid, dist,
     J_pp = (K_xx + sp.diags(c_qq) @ K_qq + sp.diags(c_xq) @ K_xq
             + sp.diags(c_q) @ K_q + sp.diags(wprime))
 
-    # bernoulli rows, analytic in the two topmost interior psi values
-    pq = (grid.Dq @ psi.T).T
+    # bernoulli rows; a diags() product would drop S's entries where pq_s = 0
     pq_s = pq[:, ny]
-    pref = 2.0 * (1.0 + ex ** 2) * pq_s / eta ** 2
-    dq = grid.dq
-    n_int = nx * (ny - 1)
-    bi = np.arange(nx)
-    rows_b = np.concatenate([bi, bi])
-    cols_b = np.concatenate([bi * (ny - 1) + (ny - 2),
-                             bi * (ny - 1) + (ny - 3)])
-    vals_b = np.concatenate([pref * (-2.0 / dq), pref * (0.5 / dq)])
-    J_bp = sp.coo_matrix((vals_b, (rows_b, cols_b)), shape=(nx, n_int))
+    J_bp = S.multiply((2.0 * (1.0 + ex ** 2) * pq_s / eta ** 2)[:, None])
 
     # eta-block: derivatives of c_qq, c_xq, c_q times the Psi terms they scale
-    pqq = (grid.Dqq @ psi.T).T
-    pxq = (grid.Dq @ (grid.Dx @ psi).T).T
     d_eta = (-2.0 * metric * inv_eta ** 3 * pqq
              + 2.0 * qe * inv_eta * pxq
              + q * (exx[:, None] - 4.0 * ex[:, None] ** 2 * inv_eta)
@@ -463,7 +460,8 @@ def _assemble_jacobian(psi, eta, grid: StripGrid, dist,
 
 def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
                  max_halvings, pin: Optional[tuple] = None):
-    """Damped Newton on the reduced unknowns. Returns updated arrays.
+    """Damped Newton on the reduced unknowns. Returns psi, eta, r, the
+    iteration count and the residual parts of that final state.
 
     Boundary rows of psi are held exact throughout; with pin the
     Bernoulli constant r is released and eta[pin0] = pin1 is enforced.
@@ -475,19 +473,19 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
     psi[:, 0] = 0.0
     psi[:, ny] = 1.0
 
-    def full_vec(ps, et, rr):
-        F = _residual_vec(ps, et, rr, grid, dist)
+    def evaluate(ps, et, rr):
+        parts = _residual_parts(ps, et, rr, grid, dist)
+        F = _residual_vec(parts)
         if pin is not None:
             F = np.append(F, et[pin[0]] - pin[1])
-        return F
+        return parts, F, float(np.max(np.abs(F)))
 
-    F = full_vec(psi, eta, r)
-    norm = float(np.max(np.abs(F)))
+    parts, F, norm = evaluate(psi, eta, r)
 
     for it in range(max_iter):
         if norm <= tol:
-            return psi, eta, r, it, norm
-        J = _assemble_jacobian(psi, eta, grid, dist, pin=pin)
+            return psi, eta, r, it, parts
+        J = _assemble_jacobian(psi, eta, parts, grid, dist, pin=pin)
         try:
             dz = _sparse_solve(J, -F)
         except RuntimeError as exc:
@@ -510,10 +508,10 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
             psi_t = psi.copy()
             psi_t[:, 1:ny] += alpha * dpsi
             r_t = r + alpha * dr
-            F_t = full_vec(psi_t, eta_t, r_t)
-            norm_t = float(np.max(np.abs(F_t)))
+            parts_t, F_t, norm_t = evaluate(psi_t, eta_t, r_t)
             if norm_t < norm or norm_t <= tol:
-                psi, eta, r, F, norm = psi_t, eta_t, r_t, F_t, norm_t
+                psi, eta, r, parts, F, norm = (psi_t, eta_t, r_t, parts_t,
+                                               F_t, norm_t)
                 accepted = True
                 break
             alpha *= 0.5
@@ -526,7 +524,7 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
                 f"line search stalled at iteration {it} (residual {norm:.3g})")
 
     if norm <= tol:
-        return psi, eta, r, max_iter, norm
+        return psi, eta, r, max_iter, parts
     raise NewtonDiverged(
         f"no convergence in {max_iter} iterations (residual {norm:.3g})")
 
@@ -540,12 +538,11 @@ def newton_solve(state: WaveState, dist: VorticityDistribution,
     NewtonDiverged or SurfaceCollapse on failure.
     """
     grid = StripGrid(state.period_L, state.nx, state.ny, "periodic")
-    psi, eta, r, its, _ = _newton_core(state.psi, state.eta, state.r, grid,
-                                       dist, tol, max_iter, max_halvings)
+    psi, eta, r, its, parts = _newton_core(
+        state.psi, state.eta, state.r, grid, dist, tol, max_iter, max_halvings)
     out = WaveState(period_L=state.period_L, nx=state.nx, ny=state.ny,
                     psi=psi, eta=eta, r=r)
-    return NewtonResult(state=out, iterations=its,
-                        norms=residual_norms(out, dist))
+    return NewtonResult(state=out, iterations=its, norms=_norms(parts))
 
 
 def _thread_cap(threads: Optional[int]) -> int:
@@ -646,11 +643,11 @@ def _dispersion_solve(sol: StreamSolution, dist: VorticityDistribution,
     """
     ksq = np.asarray(ks, dtype=float).ravel() ** 2
     n = ksq.size
+    cauchy = _cauchy_rhs(dist)
 
     def rhs(y, st):
-        u = st[0]
-        return np.concatenate(((st[1], -float(dist.omega(u))), st[2 + n:],
-                               (ksq - float(dist.derivative(u))) * st[2:2 + n]))
+        fpp = (ksq - float(dist.derivative(st[0]))) * st[2:2 + n]
+        return np.concatenate((cauchy(y, st), st[2 + n:], fpp))
 
     h = sol.depth
     y0 = np.concatenate(((0.0, float(sol.profile.s)), np.zeros(n), np.ones(n)))

@@ -239,7 +239,9 @@ class TestPlumbing:
         ("check", {"slope_bound": None}), ("stream", {"s": None}),
         ("depths", {"k_max": None}), ("sweep", {"amplitude_cap": "x"}),
         ("sweep", {"threads": None}), ("diagnose", {"t": None}),
-        ("diagnose", {"delta": "x"}),
+        ("diagnose", {"delta": "x"}), ("solve", {"nx": 64.7}),
+        ("solve", {"max_iter": 0.5}), ("solve", {"amplitude": 0.01, "mode": 1.5}),
+        ("sweep", {"threads": 1.5}), ("depths", {"k_max": 0.5}),
     ])
     def test_malformed_numeric_field_fails(self, tmp_path, capsys, sub, bad):
         extra = []

@@ -21,7 +21,7 @@ from stillwave.errors import DepthMismatch
 from stillwave.stream import still_depth_family
 from stillwave.vorticity import (ConstantVorticity, LinearVorticity,
                                  TabulatedVorticity)
-from stillwave.wavesolver import flat_state, perturbed_state
+from stillwave.wavesolver import StripGrid, flat_state, perturbed_state
 
 B2 = ConstantVorticity(b=2.0)
 LIN = LinearVorticity(b=1.0)
@@ -31,6 +31,12 @@ HAT = TabulatedVorticity(nodes=(0.0, 1.0), values=(-1.0, 1.0))
 @pytest.fixture(scope="module")
 def still_b2():
     return still_depth_family(B2)[0]
+
+
+@pytest.fixture(scope="module")
+def still_lin():
+    # depth pi/2, so a slip in a 1/eta or 1/h scaling shows
+    return still_depth_family(LIN)[0]
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +130,31 @@ class TestWeightedEnergy:
         f = manufactured_fields(still_b2, B2, 0.01, 2.0, nx=16, ny=12)
         with pytest.raises(ValueError):
             weighted_energy(f, 0.0)
+
+    def test_closed_form_on_a_flat_strip(self, still_lin):
+        # w = sin(pi y / h) on the flat strip of depth h: the density
+        # integrates to (h + pi^2 / h) / 2 over a column, the copy weight
+        # to 2 / delta over a period
+        h = still_lin.depth
+        st = flat_state(still_lin, LIN, 2.0, 64, 96)
+        f = perturbation_fields(st, still_lin)
+        f.w = np.tile(np.sin(np.pi * st.q), (64, 1))
+        assert weighted_energy(f, 0.5) == pytest.approx(
+            (h + np.pi ** 2 / h) / 0.5, rel=1e-3)
+
+
+class TestFirstOrderModel:
+    def test_remainder_solves_the_linearised_problem(self, still_lin):
+        # laplace(w + u) + omega'(U) (w + u) = 0 at interior nodes, with
+        # the strip's own stencils scaled to depth h
+        h = still_lin.depth
+        f = manufactured_fields(still_lin, LIN, 0.01, 2.0, nx=16, ny=12)
+        grid = StripGrid(2.0, 16, 12)
+        wp = np.asarray(LIN.derivative(still_lin.U(grid.q * h)), dtype=float)
+        v = f.w + f.u
+        lap_u = grid.Dxx @ f.u + (grid.Dqq @ f.u.T).T / h ** 2
+        res = grid.Dxx @ v + (grid.Dqq @ v.T).T / h ** 2 + wp * v
+        assert np.max(np.abs(res[:, 1:-1])) < 1e-9 * np.max(np.abs(lap_u))
 
 
 class TestSurfaceQuartic:

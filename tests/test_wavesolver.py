@@ -25,7 +25,8 @@ from stillwave.vorticity import (ConstantVorticity, LinearVorticity,
 from stillwave.wavesolver import (StripGrid, WaveState,
                                   VERDICT_CONSISTENT,
                                   VERDICT_NOT_APPLICABLE,
-                                  _assemble_jacobian, _residual_vec,
+                                  _assemble_jacobian, _residual_parts,
+                                  _residual_vec,
                                   bifurcation_branch, dispersion_mode,
                                   dispersion_sigma, find_bifurcation_points,
                                   flat_state, newton_solve,
@@ -184,6 +185,14 @@ class TestFlatState:
         assert shifted.bernoulli == pytest.approx(0.03, abs=1e-12)
         assert shifted.pde == base.pde
 
+    @pytest.mark.parametrize("ny", [1, 2])
+    def test_too_few_q_nodes_is_value_error(self, still_b2, ny):
+        # the one-sided q closures need four nodes, ny + 1 >= 4
+        with pytest.raises(ValueError, match="at least 4 nodes"):
+            flat_state(still_b2, B2, 2.0, 8, ny)
+        with pytest.raises(ValueError, match="at least 4 nodes"):
+            perturbed_state(still_b2, B2, 2.0, 8, ny, amplitude=0.01)
+
     def test_perturbed_state_ripple(self, still_b2):
         st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01,
                              mode=2)
@@ -196,15 +205,16 @@ def _assert_matches_central_differences(grid, st, dist, pin=None):
     unit directions d. With pin, r and the pin row join the system."""
     nx, ny = grid.nx, grid.ny
     n_int = nx * (ny - 1)
-    J = _assemble_jacobian(st.psi, st.eta, grid, dist, pin=pin)
+    parts = _residual_parts(st.psi, st.eta, st.r, grid, dist)
+    J = _assemble_jacobian(st.psi, st.eta, parts, grid, dist, pin=pin)
 
     def residual(z):
         ps = st.psi.copy()
         ps[:, 1:ny] += z[:n_int].reshape(nx, ny - 1)
         et = st.eta + z[n_int:n_int + nx]
         if pin is None:
-            return _residual_vec(ps, et, st.r, grid, dist)
-        F = _residual_vec(ps, et, st.r + z[-1], grid, dist)
+            return _residual_vec(_residual_parts(ps, et, st.r, grid, dist))
+        F = _residual_vec(_residual_parts(ps, et, st.r + z[-1], grid, dist))
         return np.append(F, et[pin[0]] - pin[1])
 
     rng = np.random.default_rng(11)
@@ -253,7 +263,8 @@ class TestJacobian:
         st = perturbed_state(still_lin, LIN, 3.0, 128, 64, amplitude=0.006)
         tracemalloc.start()
         try:
-            J = _assemble_jacobian(st.psi, st.eta, grid, LIN)
+            parts = _residual_parts(st.psi, st.eta, st.r, grid, LIN)
+            J = _assemble_jacobian(st.psi, st.eta, parts, grid, LIN)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -269,6 +280,11 @@ class TestNewton:
         assert res.norms.max() < 1e-10
         assert res.iterations <= 8
 
+    def test_norms_are_those_of_the_returned_state(self, still_lin):
+        st = perturbed_state(still_lin, LIN, 2.0, 32, 16, amplitude=0.01)
+        res = newton_solve(st, LIN)
+        assert res.norms == residual_norms(res.state, LIN)
+
     def test_prime_nx_converges_as_fast(self, still_b2):
         its = [newton_solve(perturbed_state(still_b2, B2, 2.0, nx, 16,
                                             amplitude=0.01), B2).iterations
@@ -277,7 +293,7 @@ class TestNewton:
 
     def test_singular_jacobian_is_newton_diverged(self, still_b2,
                                                   monkeypatch):
-        def zero_jacobian(psi, eta, grid, dist, pin=None):
+        def zero_jacobian(psi, eta, parts, grid, dist, pin=None):
             n = grid.nx * grid.ny
             return sp.csr_matrix((n, n))
 
