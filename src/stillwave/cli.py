@@ -262,7 +262,7 @@ def _cmd_sweep(cfg, args, outputs):
         nx=_count(cfg, "nx", 64, least=4), ny=_count(cfg, "ny", 32, least=4),
         amplitude_cap=(_number(cfg, "amplitude_cap", 0.0)
                        if "amplitude_cap" in cfg else None),
-        flat_tol=_number(cfg, "flat_tol", 1e-8),
+        flat_tol=_number(cfg, "flat_tol", ws.FLAT_TOL),
         threads=_integer(cfg, "threads", 1) if "threads" in cfg else None)
     code = 2 if rep.verdict == ws.VERDICT_NOT_APPLICABLE else 0
     return rep.to_dict(), code
@@ -282,8 +282,8 @@ def _cmd_dispersion(cfg, args, outputs):
         ks = np.linspace(k_lo, k_hi, _count(cfg, "samples", 21, least=1))
     dist = make_distribution(cfg["vorticity"])
     sol = _resolve_solution(cfg, dist)
-    sigma = [{"k": float(k), "sigma": ws.dispersion_sigma(sol, dist, float(k))}
-             for k in ks]
+    sigma = [{"k": float(k), "sigma": float(v)}
+             for k, v in zip(ks, ws.dispersion_sigma(sol, dist, ks))]
     roots = ws.find_bifurcation_points(sol, dist, k_lo, k_hi,
                                        scan_points=scan_points)
     return {"h": sol.depth, "surface_speed": sol.surface_speed,

@@ -30,8 +30,8 @@ import scipy.sparse as sp
 from .errors import DepthMismatch
 from .stream import StreamSolution
 from .vorticity import VorticityDistribution
-from .wavesolver import (StripGrid, WaveState, _difference_matrices,
-                         _sparse_solve, flat_state)
+from .wavesolver import (FLAT_TOL, StripGrid, WaveState,
+                         _difference_matrices, _sparse_solve, flat_state)
 
 __all__ = [
     "PerturbationFields",
@@ -54,6 +54,8 @@ class PerturbationFields:
     """Deviation fields of a state relative to a stream solution."""
 
     state: WaveState
+    grid: StripGrid    # the state's periodic grid
+    ex: np.ndarray     # (nx,): discrete eta_x
     phi: np.ndarray    # (nx, ny+1): psi - U(q eta)
     zeta: np.ndarray   # (nx,): h - eta
     u: np.ndarray      # (nx, ny+1): (1 - U(eta)) q
@@ -85,9 +87,10 @@ def perturbation_fields(state: WaveState,
     surf_gap = 1.0 - np.asarray(sol.U(eta), dtype=float)
     u = surf_gap[:, None] * q[None, :]
     w = phi - u
-    ex = _difference_matrices(state.nx, state.period_L / state.nx,
-                              "periodic")[0] @ eta
-    return PerturbationFields(state=state, phi=phi, zeta=zeta, u=u, w=w,
+    grid = StripGrid(state.period_L, state.nx, state.ny, "periodic")
+    ex = grid.Dx @ eta
+    return PerturbationFields(state=state, grid=grid, ex=ex,
+                              phi=phi, zeta=zeta, u=u, w=w,
                               slope_sup=float(np.max(np.abs(ex))),
                               amp_sup=float(np.max(zeta)))
 
@@ -139,10 +142,10 @@ def _copy_weight(x: np.ndarray, t: float, delta: float,
     return np.exp(-delta * np.abs(t - (x[:, None] + ms[None, :] * period_L))).sum(axis=1)
 
 
-def _physical_gradient(field: np.ndarray, eta: np.ndarray, ex: np.ndarray,
-                       grid: StripGrid):
-    """Physical (d/dx, d/dy) of a mapped field f(x, q) with q = y / eta(x),
-    by the chain rule; ex is the discrete eta_x."""
+def _physical_gradient(field: np.ndarray, fields: PerturbationFields):
+    """Physical (d/dx, d/dy) of a mapped field f(x, q) on the grid of
+    fields, with q = y / eta(x), by the chain rule."""
+    grid, eta, ex = fields.grid, fields.state.eta, fields.ex
     fq = (grid.Dq @ field.T).T
     return (grid.Dx @ field - grid.q[None, :] * (ex / eta)[:, None] * fq,
             fq / eta[:, None])
@@ -156,18 +159,14 @@ def weighted_energy(fields: PerturbationFields, delta: float,
     mapped coordinates (dy = eta dq, gradients via the chain rule) with
     trapezoid weights in q and the periodic-copy weight in x.
     """
-    state = fields.state
-    w = fields.w
-    nx, ny = state.nx, state.ny
-    grid = StripGrid(state.period_L, nx, ny, "periodic")
-    eta = state.eta
-    wx, wy = _physical_gradient(w, eta, grid.Dx @ eta, grid)
+    grid, w = fields.grid, fields.w
+    wx, wy = _physical_gradient(w, fields)
     dens = w ** 2 + wx ** 2 + wy ** 2
 
-    tq = np.full(ny + 1, grid.dq)
+    tq = np.full(grid.ny + 1, grid.dq)
     tq[0] = tq[-1] = 0.5 * grid.dq
-    cols = (dens * tq[None, :]).sum(axis=1) * eta
-    W = _copy_weight(grid.x, t, delta, state.period_L)
+    cols = (dens * tq[None, :]).sum(axis=1) * fields.state.eta
+    W = _copy_weight(grid.x, t, delta, grid.period_L)
     return float(np.sum(W * cols) * grid.dx)
 
 
@@ -184,24 +183,20 @@ def surface_quartic_weighted(zeta: np.ndarray, delta: float, t: float,
     return float(np.sum(W * zeta ** 2 * (zeta ** 2 + zx ** 2)) * dx)
 
 
-def _surface_normal_derivative(field: np.ndarray, state: WaveState,
-                               grid: StripGrid) -> np.ndarray:
-    """Normal derivative of a mapped field at the free surface of a state
-    on its own periodic grid."""
-    ex = grid.Dx @ state.eta
-    fx, fy = _physical_gradient(field, state.eta, ex, grid)
+def _surface_normal_derivative(fields: PerturbationFields) -> np.ndarray:
+    """Normal derivative of phi at the free surface."""
+    ex = fields.ex
+    fx, fy = _physical_gradient(fields.phi, fields)
     return (-ex * fx[:, -1] + fy[:, -1]) / np.sqrt(1.0 + ex ** 2)
 
 
-def trace_norm(field: np.ndarray, state: WaveState, t: float = 0.0) -> float:
-    """Windowed L^2 norm of a mapped field's normal derivative on the
-    free surface."""
-    grid = StripGrid(state.period_L, state.nx, state.ny, "periodic")
-    g = _surface_normal_derivative(field, state, grid)
-    return windowed_norm(g, t, 2.0, state.period_L)
+def trace_norm(fields: PerturbationFields, t: float = 0.0) -> float:
+    """Windowed L^2 norm of phi's normal derivative on the free surface."""
+    return windowed_norm(_surface_normal_derivative(fields), t, 2.0,
+                         fields.state.period_L)
 
 
-def bernoulli_check(state: WaveState, sol: StreamSolution) -> float:
+def bernoulli_check(fields: PerturbationFields, sol: StreamSolution) -> float:
     """Sup defect of the still-surface Bernoulli identity
 
         sqrt(zeta) = |d_n phi + U_y(eta) / sqrt(1 + zeta_x^2)| / sqrt(2)
@@ -209,11 +204,9 @@ def bernoulli_check(state: WaveState, sol: StreamSolution) -> float:
     on the free surface. zeta is clamped at zero under the square root;
     for a flat still state both sides vanish.
     """
-    fields = perturbation_fields(state, sol)
-    grid = StripGrid(state.period_L, state.nx, state.ny, "periodic")
-    dn_phi = _surface_normal_derivative(fields.phi, state, grid)
-    zx = grid.Dx @ fields.zeta
-    uy_eta = np.asarray(sol.Uy(state.eta), dtype=float)
+    dn_phi = _surface_normal_derivative(fields)
+    zx = fields.grid.Dx @ fields.zeta
+    uy_eta = np.asarray(sol.Uy(fields.state.eta), dtype=float)
     rhs = np.abs(dn_phi + uy_eta / np.sqrt(1.0 + zx ** 2)) / math.sqrt(2.0)
     lhs = np.sqrt(np.clip(fields.zeta, 0.0, None))
     return float(np.max(np.abs(lhs - rhs)))
@@ -292,7 +285,8 @@ def manufactured_fields(sol: StreamSolution, dist: VorticityDistribution,
     state = WaveState(period_L=period_L, nx=nx, ny=ny,
                       psi=base.psi + u + w, eta=h - zeta, r=base.r)
     ex = grid.Dx @ state.eta
-    return PerturbationFields(state=state, phi=u + w, zeta=zeta, u=u, w=w,
+    return PerturbationFields(state=state, grid=grid, ex=ex,
+                              phi=u + w, zeta=zeta, u=u, w=w,
                               slope_sup=float(np.max(np.abs(ex))),
                               amp_sup=float(np.max(zeta)))
 
@@ -360,11 +354,13 @@ def diagnostics_report(state: WaveState, sol: StreamSolution,
     fields = perturbation_fields(state, sol)
     energy = weighted_energy(fields, delta, t)
     quart = surface_quartic_weighted(fields.zeta, delta, t, state.period_L)
-    ratio = energy / quart if quart > 0 else None
+    # on a state flat to FLAT_TOL the ratio divides roundoff by roundoff
+    flat = float(np.max(np.abs(fields.zeta))) < FLAT_TOL
+    ratio = energy / quart if quart > 0 and not flat else None
     return DiagnosticsReport(
         t=float(t), delta=float(delta),
         slope_sup=fields.slope_sup, amp_sup=fields.amp_sup,
         windowed_zeta=windowed_norm(fields.zeta, t, 2.0, state.period_L),
         energy=energy, surface_quartic=quart, energy_ratio=ratio,
-        trace_phi=trace_norm(fields.phi, state, t),
-        bernoulli_defect=bernoulli_check(state, sol))
+        trace_phi=trace_norm(fields, t),
+        bernoulli_defect=bernoulli_check(fields, sol))

@@ -270,9 +270,6 @@ def still_depth_family(dist: VorticityDistribution, k_max: int = 0) -> list:
     if crit.degenerate:
         raise NoStillSolution(
             "omega vanishes identically on [0, 1]; the flow never reaches the surface value")
-    if abs(crit.speed ** 2 - 2.0 * float(dist.antiderivative(1.0))) > STILLNESS_TOL:
-        raise NoStillSolution(
-            f"no still configuration: antiderivative maximiser at tau={crit.maximiser:.8g} < 1")
     try:
         h0 = least_still_depth(dist)
     except (NotStill, DivergentDepth) as exc:

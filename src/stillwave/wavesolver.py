@@ -27,7 +27,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -67,6 +67,8 @@ __all__ = [
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 40
 MAX_HALVINGS = 8
+# max |h - eta| below which a state counts as the flat one
+FLAT_TOL = 1e-8
 
 VERDICT_CONSISTENT = "consistent with nonexistence prediction"
 VERDICT_NOT_APPLICABLE = "hypotheses not applicable"
@@ -562,7 +564,7 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
                        amplitudes, wavelengths, slope_cap: float,
                        nx: int = 64, ny: int = 32,
                        amplitude_cap: Optional[float] = None,
-                       flat_tol: float = 1e-8, tol: float = NEWTON_TOL,
+                       flat_tol: float = FLAT_TOL, tol: float = NEWTON_TOL,
                        max_iter: int = MAX_NEWTON_ITER,
                        threads: Optional[int] = None) -> SweepReport:
     """Perturb the flat state over an (amplitude, wavelength) grid and
@@ -639,9 +641,12 @@ def _dispersion_solve(sol: StreamSolution, dist: VorticityDistribution,
     exact U of the flow, up to the surface y = h. The mode equation is
     linear and k enters only through k^2, so one integration serves them
     all. out.y holds only the surface values; dense_output adds the
-    interpolant over [0, h].
+    interpolant over [0, h]. Raises ValueError when some k^2 is not
+    finite, which the step control would never get past.
     """
     ksq = np.asarray(ks, dtype=float).ravel() ** 2
+    if not np.all(np.isfinite(ksq)):
+        raise ValueError(f"wavenumbers must have finite squares, got {ks!r}")
     n = ksq.size
     cauchy = _cauchy_rhs(dist)
 
@@ -655,42 +660,37 @@ def _dispersion_solve(sol: StreamSolution, dist: VorticityDistribution,
                     atol=1e-14, t_eval=(h,), dense_output=dense_output)
     if not out.success:
         raise NewtonDiverged(f"dispersion integration failed: {out.message}")
-    return out, h
+    return out
 
 
-def dispersion_sigma(sol: StreamSolution, dist: VorticityDistribution,
-                     k: float) -> float:
+def dispersion_sigma(sol: StreamSolution, dist: VorticityDistribution, k):
     """Boundary functional whose zeros mark linear bifurcation points.
 
     sigma(k) = U_y(h)^2 f'(h) - (1 + U_y(h) U_yy(h)) f(h), with U_yy(h)
     = -omega(1). For a still flow it reduces to -f(h), strictly negative
     while f keeps its sign on (0, h].
+
+    k is one wavenumber (giving a scalar) or an array (giving k's shape),
+    all read off one integration. The step control sees every mode at
+    once, so values agree with one-wavenumber integrations to the
+    integrator's tolerance, not bit for bit.
     """
-    return float(_dispersion_scan(sol, dist, [k])[0])
-
-
-def _dispersion_scan(sol: StreamSolution, dist: VorticityDistribution,
-                     ks) -> np.ndarray:
-    """sigma at every wavenumber in ks, read off the surface values of one
-    integration. The step control sees every mode at once, so a value
-    agrees with the one-wavenumber integration of dispersion_sigma to the
-    integrator's tolerance, not bit for bit."""
-    out, _ = _dispersion_solve(sol, dist, ks)
-    end = out.y[:, -1]
-    n = np.size(ks)
-    uy_h, f_h, fp_h = end[1], end[2:2 + n], end[2 + n:]
-    return uy_h ** 2 * fp_h - (1.0 - uy_h * float(dist.omega(1.0))) * f_h
+    ks = np.asarray(k, dtype=float)
+    end = _dispersion_solve(sol, dist, ks).y[:, -1]
+    uy_h, (f_h, fp_h) = end[1], np.split(end[2:], 2)
+    sig = uy_h ** 2 * fp_h - (1.0 - uy_h * float(dist.omega(1.0))) * f_h
+    return sig.reshape(ks.shape)[()]
 
 
 def dispersion_mode(sol: StreamSolution, dist: VorticityDistribution,
                     k: float):
     """Dense-output callable y -> f(y) for the transverse mode, plus h."""
-    out, h = _dispersion_solve(sol, dist, [k], dense_output=True)
+    out = _dispersion_solve(sol, dist, [k], dense_output=True)
 
     def f(y):
         return out.sol(y)[2]
 
-    return f, h
+    return f, sol.depth
 
 
 def find_bifurcation_points(sol: StreamSolution, dist: VorticityDistribution,
@@ -699,11 +699,11 @@ def find_bifurcation_points(sol: StreamSolution, dist: VorticityDistribution,
                             xtol: float = 1e-12) -> np.ndarray:
     """Zeros of the dispersion functional in [k_min, k_max].
 
-    One integration evaluates the functional at scan_points equispaced
-    wavenumbers; each sign change brackets a root, which brentq polishes
-    on the scalar dispersion_sigma. Where the scalar path gives both ends
-    of a bracket one sign, sigma vanishes to roundoff at one of them, and
-    that node is reported. For still flows the functional is negative
+    One dispersion_sigma call evaluates the functional at scan_points
+    equispaced wavenumbers; each sign change brackets a root, which brentq
+    polishes on scalar calls. Where the scalar path gives both ends of a
+    bracket one sign, sigma vanishes to roundoff at one of them, and that
+    node is reported. For still flows the functional is negative
     throughout and the result is empty. Raises ValueError unless k_min <
     k_max are finite and scan_points >= 2.
     """
@@ -713,11 +713,9 @@ def find_bifurcation_points(sol: StreamSolution, dist: VorticityDistribution,
     if scan_points < 2:
         raise ValueError(f"need scan_points >= 2, got {scan_points!r}")
 
-    def sigma(k):
-        return dispersion_sigma(sol, dist, k)
-
+    sigma = partial(dispersion_sigma, sol, dist)
     ks = np.linspace(k_min, k_max, scan_points)
-    sig = _dispersion_scan(sol, dist, ks)
+    sig = dispersion_sigma(sol, dist, ks)
     roots = [float(ks[i]) for i in np.flatnonzero(sig == 0.0)]
     for i in np.flatnonzero(np.sign(sig[:-1]) * np.sign(sig[1:]) < 0):
         lo, hi = sigma(ks[i]), sigma(ks[i + 1])
@@ -741,9 +739,13 @@ def bifurcation_branch(sol: StreamSolution, dist: VorticityDistribution,
     removes the horizontal-translation null direction. The seed is the
     linear mode in mapped coordinates. The result is unfolded to the full
     periodic grid (nx must be even; the half grid has nx/2 + 1 nodes).
-    Raises NewtonDiverged when Newton lands on the raised flat state
+    Raises ValueError unless 0 < k < inf and 0 < amplitude < inf, and
+    NewtonDiverged when Newton lands on the raised flat state
     eta = h + amplitude, which also satisfies the pin, instead of a wave.
     """
+    if not (0.0 < k < math.inf and 0.0 < amplitude < math.inf):
+        raise ValueError(f"need 0 < k < inf and 0 < amplitude < inf, got "
+                         f"k={k!r}, amplitude={amplitude!r}")
     if nx % 2:
         raise ValueError("nx must be even so the half grid unfolds cleanly")
     L = 2.0 * math.pi / k

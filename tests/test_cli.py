@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stillwave import cli
+from stillwave import cli, stream, wavesolver
+from stillwave.vorticity import make_distribution
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -185,6 +186,18 @@ class TestDispersion:
                                                    abs=1e-8)
         signs = [s["sigma"] for s in report["sigma"]]
         assert signs[0] < 0 < signs[1]
+
+    def test_samples_come_from_one_sigma_call(self, tmp_path):
+        # the report's samples are those of one array call, bit for bit
+        cfg = dict(BM1, s=0.0, samples=7, k_max_scan=3.0, scan_points=11)
+        code, report, _, _ = _run(tmp_path, "dispersion", cfg)
+        assert code == 0
+        dist = make_distribution(BM1["vorticity"])
+        ks = np.linspace(0.0, 3.0, 7)
+        want = wavesolver.dispersion_sigma(
+            stream.shear_solution(dist, 0.0), dist, ks)
+        assert [s["k"] for s in report["sigma"]] == ks.tolist()
+        assert [s["sigma"] for s in report["sigma"]] == want.tolist()
 
     @pytest.mark.parametrize("bad", [
         {"k_values": 3}, {"k_values": []}, {"k_values": [0.5, "1.5"]},

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from stillwave import diagnostics
 from stillwave.diagnostics import (bernoulli_check, default_decay_rate,
                                    diagnostics_report, manufactured_fields,
                                    perturbation_fields, quartic_scaling,
@@ -21,7 +22,8 @@ from stillwave.errors import DepthMismatch
 from stillwave.stream import still_depth_family
 from stillwave.vorticity import (ConstantVorticity, LinearVorticity,
                                  TabulatedVorticity)
-from stillwave.wavesolver import StripGrid, flat_state, perturbed_state
+from stillwave.wavesolver import (FLAT_TOL, StripGrid, flat_state,
+                                  newton_solve, perturbed_state)
 
 B2 = ConstantVorticity(b=2.0)
 LIN = LinearVorticity(b=1.0)
@@ -195,8 +197,31 @@ class TestReports:
     def test_flat_trace_and_bernoulli_other_family(self, still_b2):
         st = flat_state(still_b2, B2, 2.0, 16, 12)
         fields = perturbation_fields(st, still_b2)
-        assert trace_norm(fields.phi, st) < 1e-10
-        assert bernoulli_check(st, still_b2) < 1e-12
+        assert trace_norm(fields) < 1e-10
+        assert bernoulli_check(fields, still_b2) < 1e-12
+
+    def test_solved_near_flat_state_has_no_ratio(self, still_b2):
+        # Newton returns the flat state up to roundoff, and the ratio of
+        # two roundoff functionals means nothing
+        st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
+        res = newton_solve(st, B2)
+        assert 0.0 < np.max(np.abs(still_b2.depth - res.state.eta)) < FLAT_TOL
+        rep = diagnostics_report(res.state, still_b2, B2)
+        assert rep.energy_ratio is None
+        assert rep.surface_quartic < 1e-40
+
+    def test_report_builds_one_grid(self, still_b2, monkeypatch):
+        builds = []
+
+        class CountingGrid(StripGrid):
+            def __init__(self, *args, **kwargs):
+                builds.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "StripGrid", CountingGrid)
+        st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
+        diagnostics_report(st, still_b2, B2)
+        assert len(builds) == 1
 
     def test_report_dict_keys(self, still_b2):
         st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)

@@ -1,7 +1,7 @@
 """Property-based oracles: identities checked over random inputs.
 
-The dispersion root scan reads sigma at every scan wavenumber off one
-vectorised integration; the scalar dispersion_sigma integrates each
+dispersion_sigma on an array of wavenumbers reads sigma at every one of
+them off one vectorised integration; a scalar call integrates its
 wavenumber on its own and is the reference here. The least still depth
 has closed forms for the constant and the linear families.
 """
@@ -25,7 +25,7 @@ from stillwave.vorticity import ConstantVorticity, LinearVorticity
 def test_dispersion_scan_matches_scalar_path(family, b, s, ks):
     dist = family(b=b)
     sol = shear_solution(dist, s)
-    scan = wavesolver._dispersion_scan(sol, dist, ks)
+    scan = wavesolver.dispersion_sigma(sol, dist, ks)
     ref = np.array([wavesolver.dispersion_sigma(sol, dist, k) for k in ks])
     # the bound also fixes the sign wherever |sigma| exceeds it
     assert np.all(np.abs(scan - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))

@@ -348,7 +348,7 @@ class TestDispersion:
         sol = still_depth_family(dist)[0] if s is None \
             else shear_solution(dist, s)
         ks = np.linspace(0.0, 5.0, 21)
-        scan = wavesolver._dispersion_scan(sol, dist, ks)
+        scan = dispersion_sigma(sol, dist, ks)
         ref = np.array([dispersion_sigma(sol, dist, k) for k in ks])
         assert np.all(np.abs(scan - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
         assert np.array_equal(np.sign(scan), np.sign(ref))
@@ -362,16 +362,34 @@ class TestDispersion:
         sol = still_depth_family(hat)[0]
         sigma0 = dispersion_sigma(sol, hat, 0.0)
         assert sigma0 == pytest.approx(0.0, abs=1e-12)
-        scan = wavesolver._dispersion_scan
+        sigma = wavesolver.dispersion_sigma
 
-        def flipped(sol, dist, ks):
-            sig = scan(sol, dist, ks)
-            sig[0] = -math.copysign(abs(sig[0]), sigma0)
+        def flipped(sol, dist, k):
+            sig = sigma(sol, dist, k)
+            if np.ndim(sig):
+                sig[0] = -math.copysign(abs(sig[0]), sigma0)
             return sig
 
-        monkeypatch.setattr(wavesolver, "_dispersion_scan", flipped)
+        monkeypatch.setattr(wavesolver, "dispersion_sigma", flipped)
         roots = find_bifurcation_points(sol, hat, 0.0, 5.0, scan_points=21)
         assert roots.tolist() == [0.0]
+
+    def test_array_keeps_shape_and_scalar_stays_scalar(self, moving_bm1):
+        ks = np.array([[0.25, 0.8], [1.5, 3.0]])
+        assert dispersion_sigma(moving_bm1, BM1, ks).shape == (2, 2)
+        assert dispersion_sigma(moving_bm1, BM1, ks[:1, :1]).shape == (1, 1)
+        sig = dispersion_sigma(moving_bm1, BM1, 0.8)
+        assert np.ndim(sig) == 0 and isinstance(sig, float)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 1e200,
+                                   [0.5, math.nan]])
+    def test_unintegrable_wavenumber_rejected(self, moving_bm1, k):
+        with pytest.raises(ValueError, match="finite"):
+            dispersion_sigma(moving_bm1, BM1, k)
+        if np.ndim(k) == 0:
+            with pytest.raises(ValueError, match="finite"):
+                dispersion_mode(moving_bm1, BM1, k)
 
     @pytest.mark.parametrize("k_min, k_max, scan_points", [
         (0.0, 5.0, 1), (0.0, 5.0, 0), (2.0, 2.0, 11), (3.0, 1.0, 11),
@@ -406,6 +424,17 @@ class TestBifurcationBranch:
         k = float(find_bifurcation_points(sol, dist)[0])
         with pytest.raises(NewtonDiverged, match="flat state"):
             bifurcation_branch(sol, dist, k, amplitude=0.01, nx=64, ny=32)
+
+    @pytest.mark.parametrize("k, amplitude", [
+        (0.0, 0.01), (-BIFURCATION_K, 0.01), (math.nan, 0.01),
+        (math.inf, 0.01), (BIFURCATION_K, 0.0), (BIFURCATION_K, -0.01),
+        (BIFURCATION_K, math.nan), (BIFURCATION_K, math.inf),
+    ])
+    def test_bad_wavenumber_or_amplitude_rejected(self, moving_bm1, k,
+                                                  amplitude):
+        with pytest.raises(ValueError, match="0 < k < inf"):
+            bifurcation_branch(moving_bm1, BM1, k, amplitude=amplitude,
+                               nx=16, ny=8)
 
     def test_odd_nx_rejected(self, moving_bm1):
         with pytest.raises(ValueError):
