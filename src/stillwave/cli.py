@@ -27,7 +27,7 @@ from . import diagnostics as dg
 from . import stream as st
 from . import wavesolver as ws
 from .errors import ConfigError, StillwaveError
-from .vorticity import make_distribution
+from .vorticity import _is_number, make_distribution
 
 __all__ = ["run", "main"]
 
@@ -88,11 +88,6 @@ def _write_manifest(path: str, subcommand: str, cfg: dict,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     _write_json(path, manifest)
-
-
-def _is_number(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
 
 
 def _number(cfg: dict, key: str, default: float) -> float:

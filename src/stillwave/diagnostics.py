@@ -267,18 +267,17 @@ def _solve_first_order_model(sol: StreamSolution, dist: VorticityDistribution,
 
 def manufactured_fields(sol: StreamSolution, dist: VorticityDistribution,
                         amplitude: float, period_L: float,
-                        nx: int = 64, ny: int = 48,
-                        mode: int = 1) -> PerturbationFields:
+                        nx: int = 64, ny: int = 48) -> PerturbationFields:
     """PerturbationFields for a cosine surface dip of the given amplitude
     with w from the first-order model (experimental probe).
 
-    The surface is eta = h - zeta with zeta = amplitude cos(2 pi mode
-    x / L); u comes from the exact surface gap and w solves the
-    linearised remainder problem on the flat strip.
+    The surface is eta = h - zeta with zeta = amplitude cos(2 pi x / L);
+    u comes from the exact surface gap and w solves the linearised
+    remainder problem on the flat strip.
     """
     h = sol.depth
     grid = StripGrid(period_L, nx, ny, "periodic")
-    zeta = amplitude * np.cos(2.0 * math.pi * mode * grid.x / period_L)
+    zeta = amplitude * np.cos(2.0 * math.pi * grid.x / period_L)
     w, u = _solve_first_order_model(sol, dist, zeta, grid)
 
     base = flat_state(sol, dist, period_L, nx, ny)
@@ -293,23 +292,22 @@ def manufactured_fields(sol: StreamSolution, dist: VorticityDistribution,
 
 def quartic_scaling(sol: StreamSolution, dist: VorticityDistribution,
                     amplitudes, period_L: float = 2.0,
-                    nx: int = 64, ny: int = 48,
-                    delta: Optional[float] = None, t: float = 0.0) -> dict:
+                    nx: int = 64, ny: int = 48) -> dict:
     """Energy-vs-amplitude study of the first-order remainder model.
 
     Returns amplitudes, weighted energies of w, the ratios energy /
     quartic surface functional, and the fitted log-log slope (4 when the
-    surface gap is exactly quadratic in the amplitude).
+    surface gap is exactly quadratic in the amplitude). The weights are
+    centred at t = 0 with the default decay rate.
     """
-    if delta is None:
-        delta = default_decay_rate(sol, dist)
+    delta = default_decay_rate(sol, dist)
     amps = [float(a) for a in amplitudes]
     energies = []
     ratios = []
     for a in amps:
         fields = manufactured_fields(sol, dist, a, period_L, nx=nx, ny=ny)
-        e = weighted_energy(fields, delta, t)
-        s4 = surface_quartic_weighted(fields.zeta, delta, t, period_L)
+        e = weighted_energy(fields, delta, 0.0)
+        s4 = surface_quartic_weighted(fields.zeta, delta, 0.0, period_L)
         energies.append(e)
         ratios.append(e / s4 if s4 > 0 else math.inf)
     slope = float(np.polyfit(np.log(amps), np.log(energies), 1)[0])

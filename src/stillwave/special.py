@@ -121,9 +121,9 @@ def _check_endpoint_growth(g, smax, p):
                 "integral diverges for the declared exponent")
 
 
-def singular_quadrature(spec: SingularIntegrandSpec, a: float, b: float,
-                        tol: float = 1e-12) -> float:
-    """Integrate spec over [a, b] to absolute accuracy tol.
+def singular_quadrature(spec: SingularIntegrandSpec, a: float,
+                        b: float) -> float:
+    """Integrate spec over [a, b] to absolute accuracy 1e-12.
 
     Raises NonIntegrable when the integrand's true endpoint behaviour is
     stronger than the declared exponents.
@@ -133,9 +133,9 @@ def singular_quadrature(spec: SingularIntegrandSpec, a: float, b: float,
     f = spec.smooth_part
     half = 0.5 * (b - a)
     left = _half_integral(f, a, b, spec.left_exponent, spec.right_exponent,
-                          half, 0.5 * tol, from_left=True)
+                          half, 0.5e-12, from_left=True)
     right = _half_integral(f, a, b, spec.right_exponent, spec.left_exponent,
-                           half, 0.5 * tol, from_left=False)
+                           half, 0.5e-12, from_left=False)
     return left + right
 
 

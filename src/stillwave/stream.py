@@ -122,23 +122,22 @@ def _turning_event(terminal: bool = False):
     return turning
 
 
-def solve_cauchy(dist: VorticityDistribution, s: float, y_max: float,
-                 rtol: float = INTEGRATOR_RTOL,
-                 atol: float = INTEGRATOR_ATOL) -> StreamProfile:
+def solve_cauchy(dist: VorticityDistribution, s: float,
+                 y_max: float) -> StreamProfile:
     """Integrate U'' = -omega(U) from the bed with dense output.
 
     y_max may be negative (integration toward negative y).
     """
     sol = solve_ivp(_cauchy_rhs(dist), (0.0, y_max), (0.0, float(s)),
-                    method="DOP853", rtol=rtol, atol=atol, dense_output=True)
+                    method="DOP853", rtol=INTEGRATOR_RTOL,
+                    atol=INTEGRATOR_ATOL, dense_output=True)
     if not sol.success:
         raise StepFailure(f"integrator failed on [0, {y_max}]: {sol.message}")
     return StreamProfile(s=float(s), U_values=sol.y[0],
                          Uy_values=sol.y[1], _dense=sol.sol)
 
 
-def critical_surface_speed(dist: VorticityDistribution,
-                           scan_points: int = 2001) -> CriticalSpeed:
+def critical_surface_speed(dist: VorticityDistribution) -> CriticalSpeed:
     """Locate max of the antiderivative over [0, 1] and the slope it buys.
 
     The critical slope is sqrt(2 max Omega); a flow started below it turns
@@ -147,7 +146,7 @@ def critical_surface_speed(dist: VorticityDistribution,
     there. degenerate flags an antiderivative that is identically zero
     (omega vanishes on [0, 1]); the maximiser is arbitrary then.
     """
-    grid = np.linspace(0.0, 1.0, scan_points)
+    grid = np.linspace(0.0, 1.0, 2001)
     vals = np.asarray(dist.antiderivative(grid), dtype=float)
     degenerate = float(vals.max() - vals.min()) < 1e-15
 
@@ -170,10 +169,13 @@ def critical_surface_speed(dist: VorticityDistribution,
     return CriticalSpeed(speed=s0, maximiser=tau0, degenerate=degenerate)
 
 
-def least_still_depth(dist: VorticityDistribution, tol: float = 1e-12) -> float:
+def least_still_depth(dist: VorticityDistribution) -> float:
     """Depth of the monotone still rise, by singular quadrature.
 
-    Raises NotStill when the antiderivative maximiser sits below 1 and
+    The integrand 1 / sqrt(s0^2 - 2 Omega) has a square-root singularity
+    at tau = 1, and also at tau = 0 when the flow rises from rest (zero
+    critical slope); both are mapped out by singular_quadrature. Raises
+    NotStill when the antiderivative maximiser sits below 1 and
     DivergentDepth when omega vanishes there (the integral diverges).
     """
     crit = critical_surface_speed(dist)
@@ -189,45 +191,29 @@ def least_still_depth(dist: VorticityDistribution, tol: float = 1e-12) -> float:
     # enforce exact stillness inside the integrand so the square root sees
     # a clean double zero at tau = 1
     s0sq = 2.0 * omega1
-    zero_speed = crit.speed < 1e-8
+    from_rest = crit.speed < 1e-8
 
-    if zero_speed:
-        def smooth(tau):
-            den = s0sq - 2.0 * float(dist.antiderivative(tau))
-            if den <= 0.0:
-                return math.inf
-            return math.sqrt(tau * (1.0 - tau) / den)
+    def smooth(tau):
+        den = s0sq - 2.0 * float(dist.antiderivative(tau))
+        if den <= 0.0:
+            return math.inf
+        return math.sqrt((tau if from_rest else 1.0) * (1.0 - tau) / den)
 
-        spec = SingularIntegrandSpec(smooth, left_exponent=-0.5,
-                                     right_exponent=-0.5)
-    else:
-        def smooth(tau):
-            den = s0sq - 2.0 * float(dist.antiderivative(tau))
-            if den <= 0.0:
-                return math.inf
-            return math.sqrt((1.0 - tau) / den)
-
-        spec = SingularIntegrandSpec(smooth, left_exponent=0.0,
-                                     right_exponent=-0.5)
-
+    spec = SingularIntegrandSpec(
+        smooth, left_exponent=-0.5 if from_rest else 0.0, right_exponent=-0.5)
     try:
-        return singular_quadrature(spec, 0.0, 1.0, tol=tol)
+        return singular_quadrature(spec, 0.0, 1.0)
     except NonIntegrable as exc:
         raise DivergentDepth(f"depth integral diverges: {exc}") from exc
 
 
 def monotone_interval_lower(dist: VorticityDistribution, s0: float,
-                            horizon: Optional[float] = None) -> float:
+                            horizon: float) -> float:
     """Largest y < 0 where U'(y; s0) vanishes, or -inf if none is found
-    within the horizon (default 100 times the still depth)."""
+    in [-|horizon|, 0); still_depth_family passes 100 still depths. A
+    zero s0 gives 0, since the rise then starts from rest at the bed."""
     if s0 < 1e-13:
         return 0.0
-    if horizon is None:
-        try:
-            horizon = 100.0 * least_still_depth(dist)
-        except (NotStill, DivergentDepth):
-            horizon = 100.0
-
     sol = solve_ivp(_cauchy_rhs(dist), (0.0, -abs(horizon)), (0.0, float(s0)),
                     method="DOP853", rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL,
                     events=(_turning_event(terminal=True),))
@@ -298,20 +284,19 @@ def still_depth_family(dist: VorticityDistribution, k_max: int = 0) -> list:
     return members
 
 
-def shear_solution(dist: VorticityDistribution, s: float,
-                   y_limit: Optional[float] = None) -> StreamSolution:
+def shear_solution(dist: VorticityDistribution, s: float) -> StreamSolution:
     """First depth at which the flow with bed slope s takes the value 1.
 
     Works for both transversal crossings (moving surface) and tangential
-    arrivals (still surface). Raises ValueError when the flow provably
-    oscillates below 1 or exhausts the search limit.
+    arrivals (still surface). The search runs to y = 10, then 100, then
+    1000. Raises ValueError when the flow provably oscillates below 1 or
+    exhausts the search limit.
     """
 
     def reach(y, st):
         return st[0] - 1.0
 
-    limits = [y_limit] if y_limit is not None else [10.0, 100.0, 1000.0]
-    for Y in limits:
+    for Y in (10.0, 100.0, 1000.0):
         sol = solve_ivp(_cauchy_rhs(dist), (0.0, Y), (0.0, float(s)),
                         method="DOP853", rtol=INTEGRATOR_RTOL,
                         atol=INTEGRATOR_ATOL, dense_output=True,

@@ -16,6 +16,7 @@ antiderivative is the exact integral of that interpolant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,6 +157,11 @@ class TabulatedVorticity(VorticityDistribution):
             raise InvalidFamilyParams("nodes must be strictly increasing")
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
             raise InvalidFamilyParams("nodes and values must be finite")
+        with np.errstate(over="ignore"):
+            slopes = np.diff(values) / np.diff(nodes)
+        if not np.all(np.isfinite(slopes)):
+            raise InvalidFamilyParams(
+                "nodes too close for their values: a slope overflows")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
         cum = np.concatenate(
@@ -206,12 +212,22 @@ _FAMILIES = {
 }
 
 
+def _is_number(v) -> bool:
+    """A finite int or float, not a bool: the test every numeric value
+    read from JSON must pass."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 def make_distribution(spec: dict) -> VorticityDistribution:
     """Build a distribution from a JSON-style mapping.
 
     Examples: {"family": "constant", "b": 2.0},
     {"family": "quadratic_truncated", "b": 1.5, "R": 1.1},
     {"family": "tabulated", "nodes": [...], "values": [...]}.
+    Every parameter must be a finite number (not a bool), and tabulated
+    nodes and values lists of them; anything else raises
+    InvalidFamilyParams.
     """
     if not isinstance(spec, dict) or "family" not in spec:
         raise InvalidFamilyParams("distribution spec must be a mapping with a 'family' key")
@@ -220,14 +236,16 @@ def make_distribution(spec: dict) -> VorticityDistribution:
     if name not in _FAMILIES:
         raise InvalidFamilyParams(
             f"unknown family {name!r}; expected one of {sorted(_FAMILIES)}")
-    cls = _FAMILIES[name]
+    for key, v in spec.items():
+        if name == "tabulated" and key in ("nodes", "values"):
+            if not (isinstance(v, (list, tuple)) and all(map(_is_number, v))):
+                raise InvalidFamilyParams(
+                    f"family {name!r}: {key!r} must be a list of finite "
+                    f"numbers, got {v!r}")
+        elif not _is_number(v):
+            raise InvalidFamilyParams(
+                f"family {name!r}: {key!r} must be a finite number, got {v!r}")
     try:
-        if name == "tabulated":
-            return cls(nodes=np.asarray(spec.pop("nodes", None), dtype=float),
-                       values=np.asarray(spec.pop("values", None), dtype=float),
-                       **spec)
-        return cls(**spec)
-    except InvalidFamilyParams:
-        raise
+        return _FAMILIES[name](**spec)
     except TypeError as exc:
         raise InvalidFamilyParams(f"bad parameters for family {name!r}: {exc}") from exc

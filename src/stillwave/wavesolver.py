@@ -263,8 +263,7 @@ class SweepReport:
 
 
 def _polish_flat_column(col: np.ndarray, h: float, ny: int,
-                        dist: VorticityDistribution,
-                        tol: float = 1e-13, max_iter: int = 12) -> np.ndarray:
+                        dist: VorticityDistribution) -> np.ndarray:
     """Newton-polish a sampled stream profile into the exact solution of
     the discrete vertical system (second differences over h^2 plus omega).
 
@@ -281,14 +280,14 @@ def _polish_flat_column(col: np.ndarray, h: float, ny: int,
     J_core = (D2[1:ny, 1:ny] / h ** 2).toarray()
     best = col.copy()
     best_norm = math.inf
-    for _ in range(max_iter):
+    for _ in range(12):
         G = np.diff(col, 2) / (dq * h) ** 2 \
             + np.asarray(dist.omega(col[1:ny]), dtype=float)
         norm = float(np.max(np.abs(G)))
         if norm < best_norm:
             best_norm = norm
             best = col.copy()
-        if norm <= tol:
+        if norm <= 1e-13:
             break
         J = J_core + np.diag(np.asarray(dist.derivative(col[1:ny]), dtype=float))
         try:
@@ -312,7 +311,7 @@ def flat_state(sol: StreamSolution, dist: VorticityDistribution,
     h = sol.depth
     q = np.linspace(0.0, 1.0, ny + 1)
     col = np.asarray(sol.U(q * h), dtype=float)
-    col = _polish_flat_column(col, h, ny, dist, tol=1e-13)
+    col = _polish_flat_column(col, h, ny, dist)
     psi = np.tile(col, (nx, 1))
     eta = np.full(nx, h)
     dq = 1.0 / ny
@@ -461,7 +460,7 @@ def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
 
 
 def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
-                 max_halvings, pin: Optional[tuple] = None):
+                 pin: Optional[tuple] = None):
     """Damped Newton on the reduced unknowns. Returns psi, eta, r, the
     iteration count and the residual parts of that final state.
 
@@ -501,7 +500,7 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
         alpha = 1.0
         accepted = False
         collapse_only = True
-        for _ in range(max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             eta_t = eta + alpha * deta
             if np.min(eta_t) <= 0.0:
                 alpha *= 0.5
@@ -532,8 +531,8 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
 
 
 def newton_solve(state: WaveState, dist: VorticityDistribution,
-                 tol: float = NEWTON_TOL, max_iter: int = MAX_NEWTON_ITER,
-                 max_halvings: int = MAX_HALVINGS) -> NewtonResult:
+                 tol: float = NEWTON_TOL,
+                 max_iter: int = MAX_NEWTON_ITER) -> NewtonResult:
     """Solve the free-boundary system from the given initial state.
 
     The Bernoulli constant r is held fixed at state.r. Raises
@@ -541,7 +540,7 @@ def newton_solve(state: WaveState, dist: VorticityDistribution,
     """
     grid = StripGrid(state.period_L, state.nx, state.ny, "periodic")
     psi, eta, r, its, parts = _newton_core(
-        state.psi, state.eta, state.r, grid, dist, tol, max_iter, max_halvings)
+        state.psi, state.eta, state.r, grid, dist, tol, max_iter)
     out = WaveState(period_L=state.period_L, nx=state.nx, ny=state.ny,
                     psi=psi, eta=eta, r=r)
     return NewtonResult(state=out, iterations=its, norms=_norms(parts))
@@ -564,8 +563,7 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
                        amplitudes, wavelengths, slope_cap: float,
                        nx: int = 64, ny: int = 32,
                        amplitude_cap: Optional[float] = None,
-                       flat_tol: float = FLAT_TOL, tol: float = NEWTON_TOL,
-                       max_iter: int = MAX_NEWTON_ITER,
+                       flat_tol: float = FLAT_TOL,
                        threads: Optional[int] = None) -> SweepReport:
     """Perturb the flat state over an (amplitude, wavelength) grid and
     record whether Newton falls back to flat.
@@ -602,8 +600,7 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
                  "final_max_zeta": math.nan, "newton_iterations": 0,
                  "error": None}
         try:
-            res = newton_solve(perturbed_state(sol, dist, L, nx, ny, a), dist,
-                               tol=tol, max_iter=max_iter)
+            res = newton_solve(perturbed_state(sol, dist, L, nx, ny, a), dist)
             zeta_max = float(np.max(np.abs(h - res.state.eta)))
             entry["final_max_zeta"] = zeta_max
             entry["converged_to_flat"] = zeta_max < flat_tol
@@ -695,15 +692,14 @@ def dispersion_mode(sol: StreamSolution, dist: VorticityDistribution,
 
 def find_bifurcation_points(sol: StreamSolution, dist: VorticityDistribution,
                             k_min: float = 0.0, k_max: float = 5.0,
-                            scan_points: int = 201,
-                            xtol: float = 1e-12) -> np.ndarray:
+                            scan_points: int = 201) -> np.ndarray:
     """Zeros of the dispersion functional in [k_min, k_max].
 
     One dispersion_sigma call evaluates the functional at scan_points
     equispaced wavenumbers; each sign change brackets a root, which brentq
-    polishes on scalar calls. Where the scalar path gives both ends of a
-    bracket one sign, sigma vanishes to roundoff at one of them, and that
-    node is reported. For still flows the functional is negative
+    polishes to 1e-12 on scalar calls. Where the scalar path gives both
+    ends of a bracket one sign, sigma vanishes to roundoff at one of them,
+    and that node is reported. For still flows the functional is negative
     throughout and the result is empty. Raises ValueError unless k_min <
     k_max are finite and scan_points >= 2.
     """
@@ -720,7 +716,7 @@ def find_bifurcation_points(sol: StreamSolution, dist: VorticityDistribution,
     for i in np.flatnonzero(np.sign(sig[:-1]) * np.sign(sig[1:]) < 0):
         lo, hi = sigma(ks[i]), sigma(ks[i + 1])
         if lo * hi < 0:
-            roots.append(brentq(sigma, ks[i], ks[i + 1], xtol=xtol))
+            roots.append(brentq(sigma, ks[i], ks[i + 1], xtol=1e-12))
         else:
             # the scan and the scalar path disagree only in roundoff, so
             # sigma vanishes to roundoff at the end nearer zero
@@ -730,15 +726,15 @@ def find_bifurcation_points(sol: StreamSolution, dist: VorticityDistribution,
 
 def bifurcation_branch(sol: StreamSolution, dist: VorticityDistribution,
                        k: float, amplitude: float = 0.01,
-                       nx: int = 64, ny: int = 32, tol: float = NEWTON_TOL,
-                       max_iter: int = 60) -> NewtonResult:
+                       nx: int = 64, ny: int = 32) -> NewtonResult:
     """Continue off a bifurcation point to a genuinely wavy state.
 
     Works on the half-period reflecting grid with the crest elevation
     pinned at h + amplitude and the Bernoulli constant released, which
     removes the horizontal-translation null direction. The seed is the
-    linear mode in mapped coordinates. The result is unfolded to the full
-    periodic grid (nx must be even; the half grid has nx/2 + 1 nodes).
+    linear mode in mapped coordinates, and Newton gets up to 60
+    iterations. The result is unfolded to the full periodic grid (nx must
+    be even; the half grid has nx/2 + 1 nodes).
     Raises ValueError unless 0 < k < inf and 0 < amplitude < inf, and
     NewtonDiverged when Newton lands on the raised flat state
     eta = h + amplitude, which also satisfies the pin, instead of a wave.
@@ -775,15 +771,14 @@ def bifurcation_branch(sol: StreamSolution, dist: VorticityDistribution,
 
     r0 = (uy_h ** 2 + 2.0 * h) / 3.0
     psi_h, eta_h, r_out, its, _ = _newton_core(
-        psi, eta, r0, grid, dist, tol, max_iter, MAX_HALVINGS,
-        pin=(0, h + amplitude))
+        psi, eta, r0, grid, dist, NEWTON_TOL, 60, pin=(0, h + amplitude))
     # the pinned crest alone also admits the raised flat state h + amplitude
     ptp = float(np.ptp(eta_h))
     if ptp < amplitude:
         raise NewtonDiverged(
-            f"continuation at k={k:.6g} converged in {its} iterations to a "
-            f"flat state: peak-to-trough {ptp:.3g} is below the amplitude "
-            f"{amplitude:.3g}")
+            f"continuation at k={k:.6g} on the {nx}x{ny} grid converged in "
+            f"{its} iterations to a flat state: peak-to-trough {ptp:.3g} is "
+            f"below the amplitude {amplitude:.3g}")
 
     psi_full = np.vstack([psi_h, psi_h[-2:0:-1]])
     eta_full = np.concatenate([eta_h, eta_h[-2:0:-1]])

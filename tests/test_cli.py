@@ -255,6 +255,7 @@ class TestPlumbing:
         ("diagnose", {"delta": "x"}), ("solve", {"nx": 64.7}),
         ("solve", {"max_iter": 0.5}), ("solve", {"amplitude": 0.01, "mode": 1.5}),
         ("sweep", {"threads": 1.5}), ("depths", {"k_max": 0.5}),
+        ("depths", {"vorticity": {"family": "constant", "b": None}}),
     ])
     def test_malformed_numeric_field_fails(self, tmp_path, capsys, sub, bad):
         extra = []

@@ -4,17 +4,24 @@ dispersion_sigma on an array of wavenumbers reads sigma at every one of
 them off one vectorised integration; a scalar call integrates its
 wavenumber on its own and is the reference here. The least still depth
 has closed forms for the constant and the linear families.
+singular_quadrature is checked against QUADPACK's algebraic-weight rule,
+and each family's antiderivative against its omega by central
+differences.
 """
 
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from stillwave import wavesolver
+from stillwave.errors import InvalidFamilyParams
+from stillwave.special import SingularIntegrandSpec, singular_quadrature
 from stillwave.stream import least_still_depth, shear_solution
-from stillwave.vorticity import ConstantVorticity, LinearVorticity
+from stillwave.vorticity import (ConstantVorticity, LinearVorticity,
+                                 make_distribution)
 
 
 @settings(max_examples=25, deadline=None)
@@ -44,3 +51,58 @@ def test_least_still_depth_closed_forms(b):
     for dist, h0 in ((ConstantVorticity(b=b), math.sqrt(2.0 / b)),
                      (LinearVorticity(b=b), math.pi / (2.0 * math.sqrt(b)))):
         assert abs(least_still_depth(dist) - h0) <= 1e-12 * h0
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(-0.95, 0.0, exclude_min=True),
+       beta=st.floats(-0.95, 0.0, exclude_min=True),
+       a=st.floats(-2.0, 2.0), width=st.floats(0.1, 3.0),
+       c=st.floats(-1.0, 1.0), w=st.floats(0.0, 3.0), p=st.floats(0.0, 6.3))
+def test_singular_quadrature_matches_algebraic_weight_rule(alpha, beta, a,
+                                                           width, c, w, p):
+    # f is smooth and lies in [0.5 e^-|c x|, 2.5 e^|c x|], so the integral
+    # is positive and a relative bound is meaningful
+    def f(x):
+        return math.exp(c * x) * (1.5 + math.sin(w * x + p))
+
+    b = a + width
+    spec = SingularIntegrandSpec(f, left_exponent=alpha, right_exponent=beta)
+    ref, _ = quad(f, a, b, weight="alg", wvar=(alpha, beta), epsabs=0.0,
+                  epsrel=1e-13, limit=200)
+    assert abs(singular_quadrature(spec, a, b) - ref) <= 1e-11 * abs(ref)
+
+
+@st.composite
+def _family_specs(draw):
+    family = draw(st.sampled_from(["constant", "linear",
+                                   "quadratic_truncated", "tabulated"]))
+    if family == "quadratic_truncated":
+        return {"family": family, "b": draw(st.floats(0.1, 3.0)),
+                "R": draw(st.floats(1.05, 2.5))}
+    if family == "tabulated":
+        nodes = sorted(draw(st.lists(st.floats(-2.5, 2.5), min_size=2,
+                                     max_size=6, unique=True)))
+        values = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(nodes),
+                               max_size=len(nodes)))
+        return {"family": family, "nodes": nodes, "values": values}
+    return {"family": family, "b": draw(st.floats(-3.0, 3.0))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_family_specs(), tau=st.floats(-3.0, 3.0))
+def test_antiderivative_differentiates_to_omega(spec, tau):
+    try:
+        dist = make_distribution(spec)
+    except InvalidFamilyParams:
+        # nodes so close that a slope overflows; test_vorticity covers these
+        reject()
+    kinks = spec.get("nodes", [])
+    if "R" in spec:
+        kinks = [-spec["R"], spec["R"]]
+    # omega has a kink there, so the difference quotient straddles two
+    # slopes
+    assume(all(abs(tau - k) > 1e-4 for k in kinks))
+    step = 1e-5
+    slope = (float(dist.antiderivative(tau + step))
+             - float(dist.antiderivative(tau - step))) / (2.0 * step)
+    assert abs(slope - float(dist.omega(tau))) <= 1e-8

@@ -111,10 +111,14 @@ class TestLeastDepth:
 
 class TestMonotoneInterval:
     def test_unbounded_for_constant(self):
-        assert monotone_interval_lower(ConstantVorticity(b=2.0), 2.0) == -math.inf
+        dist = ConstantVorticity(b=2.0)
+        assert monotone_interval_lower(
+            dist, 2.0, horizon=100.0 * least_still_depth(dist)) == -math.inf
 
     def test_linear_half_period_below(self):
-        y_minus = monotone_interval_lower(LinearVorticity(b=1.0), 1.0)
+        dist = LinearVorticity(b=1.0)
+        y_minus = monotone_interval_lower(
+            dist, 1.0, horizon=100.0 * least_still_depth(dist))
         assert y_minus == pytest.approx(-np.pi / 2.0, abs=1e-8)
 
 
@@ -188,8 +192,8 @@ class TestShearProbe:
     def test_subcritical_never_reaches(self):
         # U = y - y^2 tops out at 1/4
         with pytest.raises(ValueError):
-            shear_solution(ConstantVorticity(b=2.0), s=1.0, y_limit=50.0)
+            shear_solution(ConstantVorticity(b=2.0), s=1.0)
 
     def test_oscillating_flow_reported(self):
         with pytest.raises(ValueError, match="oscillates"):
-            shear_solution(LinearVorticity(b=1.0), s=0.5, y_limit=40.0)
+            shear_solution(LinearVorticity(b=1.0), s=0.5)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -35,6 +37,13 @@ def test_factory_builds_each_family():
     {"family": "tabulated", "nodes": [0.0, 0.0], "values": [1.0, 2.0]},
     {"family": "tabulated", "nodes": [1.0, 0.0], "values": [1.0, 2.0]},
     {"family": "tabulated", "nodes": [0.0, 1.0], "values": [1.0]},
+    {"family": "constant", "b": "2"},
+    {"family": "constant", "b": None},
+    {"family": "constant", "b": math.nan},
+    {"family": "tabulated", "nodes": ["a", "b"], "values": [1.0, 2.0]},
+    {"family": "constant", "b": True},
+    {"family": "quadratic_truncated", "b": math.inf, "R": 1.1},
+    {"family": "tabulated", "nodes": [0.0, 1e-308], "values": [0.0, 2.0]},
 ])
 def test_factory_rejects_bad_specs(spec):
     with pytest.raises(InvalidFamilyParams):
