@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -53,8 +54,11 @@ def _canonical_digest(cfg: dict) -> str:
 
 
 def _sanitize(obj):
-    """Make an object JSON-safe: numpy scalars to python, non-finite
-    floats to null (JSON has no Infinity)."""
+    """Make an object JSON-safe: dataclass instances to dicts of their
+    fields, numpy scalars to python, non-finite floats to null (JSON has
+    no Infinity)."""
+    if dataclasses.is_dataclass(obj):
+        return _sanitize(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -71,11 +75,19 @@ def _sanitize(obj):
     return obj
 
 
-def _write_json(path: str, obj) -> None:
+def _render(obj) -> str:
+    """The JSON text of a report: sorted keys, so equal reports render
+    to equal bytes."""
+    return json.dumps(_sanitize(obj), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
+def _write_json(path: str, obj) -> str:
+    """Write obj rendered to path and return the text written."""
+    text = _render(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_sanitize(obj), fh, sort_keys=True, indent=2,
-                  allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
+    return text
 
 
 def _write_manifest(path: str, subcommand: str, cfg: dict,
@@ -211,7 +223,7 @@ def _cmd_check(cfg, args, outputs):
     dist = make_distribution(cfg["vorticity"])
     sol = _resolve_solution(cfg, dist)
     report = check_hypotheses(dist, sol, _number(cfg, "slope_bound", 1.0))
-    return report.to_dict(), 0 if report.applicable else 2
+    return report, 0 if report.applicable else 2
 
 
 def _cmd_solve(cfg, args, outputs):
@@ -220,12 +232,9 @@ def _cmd_solve(cfg, args, outputs):
     period_L = _number(cfg, "period_L", 2.0)
     nx = _count(cfg, "nx", 64, least=4)
     ny = _count(cfg, "ny", 32, least=4)
-    amp = _number(cfg, "amplitude", 0.0)
-    if amp == 0.0:
-        state0 = ws.flat_state(sol, dist, period_L, nx, ny)
-    else:
-        state0 = ws.perturbed_state(sol, dist, period_L, nx, ny, amp,
-                                    mode=_integer(cfg, "mode", 1))
+    state0 = ws.perturbed_state(sol, dist, period_L, nx, ny,
+                                _number(cfg, "amplitude", 0.0),
+                                mode=_integer(cfg, "mode", 1))
     res = ws.newton_solve(
         state0, dist, tol=_number(cfg, "tol", ws.NEWTON_TOL),
         max_iter=_count(cfg, "max_iter", ws.MAX_NEWTON_ITER, least=0))
@@ -237,7 +246,7 @@ def _cmd_solve(cfg, args, outputs):
         "r": res.state.r,
     }
     if args.state_out:
-        _write_json(args.state_out, res.state.to_dict())
+        _write_json(args.state_out, res.state)
         outputs.append(args.state_out)
         report["state_file"] = args.state_out
     if args.csv:
@@ -260,7 +269,7 @@ def _cmd_sweep(cfg, args, outputs):
         flat_tol=_number(cfg, "flat_tol", ws.FLAT_TOL),
         threads=_integer(cfg, "threads", 1) if "threads" in cfg else None)
     code = 2 if rep.verdict == ws.VERDICT_NOT_APPLICABLE else 0
-    return rep.to_dict(), code
+    return rep, code
 
 
 def _cmd_dispersion(cfg, args, outputs):
@@ -302,7 +311,7 @@ def _cmd_diagnose(cfg, args, outputs):
     delta = None if cfg.get("delta") is None else _number(cfg, "delta", 0.0)
     report = dg.diagnostics_report(state, sol, dist, t=_number(cfg, "t", 0.0),
                                    delta=delta)
-    return report.to_dict(), 0
+    return report, 0
 
 
 _HANDLERS = {
@@ -347,11 +356,9 @@ def run(argv=None) -> int:
         cfg = _load_config(args.config)
         outputs = [out]
         report, code = _HANDLERS[args.subcommand](cfg, args, outputs)
-        _write_json(out, report)
+        text = _write_json(out, report)
         _write_manifest(manifest, args.subcommand, cfg, outputs)
-        json.dump(_sanitize(report), sys.stdout, sort_keys=True, indent=2,
-                  allow_nan=False)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
         return code
     except StillwaveError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -328,20 +328,6 @@ class DiagnosticsReport:
     trace_phi: float
     bernoulli_defect: float
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "delta": self.delta,
-            "slope_sup": self.slope_sup,
-            "amp_sup": self.amp_sup,
-            "windowed_zeta": self.windowed_zeta,
-            "energy": self.energy,
-            "surface_quartic": self.surface_quartic,
-            "energy_ratio": self.energy_ratio,
-            "trace_phi": self.trace_phi,
-            "bernoulli_defect": self.bernoulli_defect,
-        }
-
 
 def diagnostics_report(state: WaveState, sol: StreamSolution,
                        dist: VorticityDistribution, t: float = 0.0,

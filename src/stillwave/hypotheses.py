@@ -33,18 +33,6 @@ class HypothesisReport:
     applicable: bool
     notes: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "still_flow": self.still_flow,
-            "depth": self.depth,
-            "sup_derivative": self.sup_derivative,
-            "dirichlet_bound": self.dirichlet_bound,
-            "margin": self.margin,
-            "slope_bound": self.slope_bound,
-            "applicable": self.applicable,
-            "notes": list(self.notes),
-        }
-
 
 def check_hypotheses(dist: VorticityDistribution, sol: StreamSolution,
                      slope_bound: float) -> HypothesisReport:

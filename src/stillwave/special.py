@@ -153,6 +153,10 @@ def elliptic_F(phi: float, alpha: float) -> float:
         return 0.0
     if alpha == 0.0:
         return phi
+    if phi < 1e-8:
+        # F = phi + sin(alpha)^2 phi^3 / 6 + O(phi^5); the Landen step
+        # below would underflow g * sin(p) to zero for subnormal phi
+        return phi * (1.0 + math.sin(alpha) ** 2 * phi * phi / 6.0)
 
     a, g = 1.0, math.cos(alpha)
     p = phi

@@ -290,7 +290,8 @@ def shear_solution(dist: VorticityDistribution, s: float) -> StreamSolution:
     Works for both transversal crossings (moving surface) and tangential
     arrivals (still surface). The search runs to y = 10, then 100, then
     1000. Raises ValueError when the flow provably oscillates below 1 or
-    exhausts the search limit.
+    exhausts the search limit, and StepFailure when the integrator fails
+    before the flow reaches 1.
     """
 
     def reach(y, st):
@@ -312,6 +313,8 @@ def shear_solution(dist: VorticityDistribution, s: float) -> StreamSolution:
             return StreamSolution(profile=profile, depth=h, surface_speed=uy_h,
                                   still=abs(uy_h) <= SURFACE_SPEED_TOL,
                                   branch=None)
+        if not sol.success:
+            raise StepFailure(f"integrator failed on [0, {Y}]: {sol.message}")
         if sol.t_events[1].size >= 2:
             # completed at least half a period without touching 1
             top = float(np.max(sol.y[0]))

@@ -37,7 +37,7 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 from .errors import (ConfigError, InvalidSweepCase, NewtonDiverged,
-                     SurfaceCollapse)
+                     StepFailure, SurfaceCollapse)
 from .hypotheses import HypothesisReport, check_hypotheses
 from .stream import StreamSolution, _cauchy_rhs
 from .vorticity import VorticityDistribution
@@ -211,16 +211,6 @@ class WaveState:
     def q(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.ny + 1)
 
-    def to_dict(self) -> dict:
-        return {
-            "period_L": self.period_L,
-            "nx": self.nx,
-            "ny": self.ny,
-            "r": self.r,
-            "eta": self.eta.tolist(),
-            "psi": self.psi.tolist(),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "WaveState":
         try:
@@ -253,13 +243,6 @@ class SweepReport:
     verdict: str
     hypothesis: HypothesisReport
     cases: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "hypothesis": self.hypothesis.to_dict(),
-            "cases": [dict(c) for c in self.cases],
-        }
 
 
 def _polish_flat_column(col: np.ndarray, h: float, ny: int,
@@ -639,7 +622,8 @@ def _dispersion_solve(sol: StreamSolution, dist: VorticityDistribution,
     linear and k enters only through k^2, so one integration serves them
     all. out.y holds only the surface values; dense_output adds the
     interpolant over [0, h]. Raises ValueError when some k^2 is not
-    finite, which the step control would never get past.
+    finite, which the step control would never get past, and StepFailure
+    when the integrator fails.
     """
     ksq = np.asarray(ks, dtype=float).ravel() ** 2
     if not np.all(np.isfinite(ksq)):
@@ -656,7 +640,7 @@ def _dispersion_solve(sol: StreamSolution, dist: VorticityDistribution,
     out = solve_ivp(rhs, (0.0, h), y0, method="DOP853", rtol=1e-12,
                     atol=1e-14, t_eval=(h,), dense_output=dense_output)
     if not out.success:
-        raise NewtonDiverged(f"dispersion integration failed: {out.message}")
+        raise StepFailure(f"dispersion integration failed: {out.message}")
     return out
 
 

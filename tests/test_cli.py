@@ -265,8 +265,9 @@ class TestPlumbing:
             from stillwave.wavesolver import flat_state
             dist = ConstantVorticity(b=2.0)
             state = flat_state(still_depth_family(dist)[0], dist, 2.0, 8, 6)
-            extra = ["--state", _write(tmp_path, "state.json",
-                                       state.to_dict())]
+            state_path = tmp_path / "state.json"
+            state_path.write_text(cli._render(state), encoding="utf-8")
+            extra = ["--state", str(state_path)]
         cfg = {**B2, "amplitudes": [0.01], "wavelengths": [2.0], "nx": 16,
                "ny": 8, **bad}
         code, report, _, _ = _run(tmp_path, sub, cfg, extra=extra)
@@ -278,6 +279,25 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             cli.run(["--version"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("config", sorted(
+        p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_echo_equals_report_file(self, tmp_path, capsys, config):
+        # _HANDLERS lists solve before diagnose, which reads solve's state
+        state = str(tmp_path / "state.json")
+        extra = {"solve": ["--state-out", state],
+                 "diagnose": ["--state", state]}
+        for sub in cli._HANDLERS:
+            out = tmp_path / f"{sub}_report.json"
+            code = cli.run([sub, "--config", str(CONFIG_DIR / config),
+                            "--out", str(out),
+                            "--manifest", str(tmp_path / "manifest.json"),
+                            *extra.get(sub, [])])
+            echo = capsys.readouterr().out
+            if code == 1:
+                assert echo == "" and not out.exists()
+            else:
+                assert echo.encode("utf-8") == out.read_bytes()
 
     def test_shipped_configs_parse(self, tmp_path):
         from stillwave.vorticity import make_distribution

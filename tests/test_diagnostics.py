@@ -7,6 +7,7 @@ exact quadratic homogeneity in the remainder field.
 """
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -225,7 +226,7 @@ class TestReports:
 
     def test_report_dict_keys(self, still_b2):
         st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
-        d = diagnostics_report(st, still_b2, B2).to_dict()
+        d = dataclasses.asdict(diagnostics_report(st, still_b2, B2))
         assert set(d) == {"t", "delta", "slope_sup", "amp_sup",
                           "windowed_zeta", "energy", "surface_quartic",
                           "energy_ratio", "trace_phi", "bernoulli_defect"}

@@ -6,6 +6,7 @@ member passes with margin 3b while every reflection fails. The
 piecewise-linear profile 2 tau - 1 lands exactly on the boundary.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -81,11 +82,11 @@ class TestReportMechanics:
             with pytest.raises(ValueError):
                 check_hypotheses(dist, m, slope_bound=bad)
 
-    def test_to_dict_round_trip(self):
+    def test_asdict_round_trip(self):
         dist = LinearVorticity(b=1.0)
         m = still_depth_family(dist)[0]
         rep = check_hypotheses(dist, m, slope_bound=0.5)
-        d = rep.to_dict()
+        d = dataclasses.asdict(rep)
         assert d["applicable"] is True
         assert d["slope_bound"] == 0.5
         assert isinstance(d["notes"], list)

@@ -5,8 +5,8 @@ them off one vectorised integration; a scalar call integrates its
 wavenumber on its own and is the reference here. The least still depth
 has closed forms for the constant and the linear families.
 singular_quadrature is checked against QUADPACK's algebraic-weight rule,
-and each family's antiderivative against its omega by central
-differences.
+elliptic_F against scipy's ellipkinc, and each family's antiderivative
+against its omega by central differences.
 """
 
 import math
@@ -15,10 +15,12 @@ import numpy as np
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ellipkinc
 
 from stillwave import wavesolver
 from stillwave.errors import InvalidFamilyParams
-from stillwave.special import SingularIntegrandSpec, singular_quadrature
+from stillwave.special import (SingularIntegrandSpec, elliptic_F,
+                               singular_quadrature)
 from stillwave.stream import least_still_depth, shear_solution
 from stillwave.vorticity import (ConstantVorticity, LinearVorticity,
                                  make_distribution)
@@ -70,6 +72,26 @@ def test_singular_quadrature_matches_algebraic_weight_rule(alpha, beta, a,
     ref, _ = quad(f, a, b, weight="alg", wvar=(alpha, beta), epsabs=0.0,
                   epsrel=1e-13, limit=200)
     assert abs(singular_quadrature(spec, a, b) - ref) <= 1e-11 * abs(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi=st.floats(0.0, math.pi / 2.0, allow_subnormal=False),
+       alpha=st.floats(0.0, 1.5))
+@example(phi=1e-8, alpha=1.5)
+@example(phi=1e-300, alpha=1.5)
+def test_elliptic_F_matches_ellipkinc(phi, alpha):
+    # alpha stops at 1.5: closer to pi/2, ellipkinc itself loses digits.
+    # Subnormal phi is checked below: there ellipkinc rounds to values
+    # under phi (2e-323 for phi = 2.5e-323), which F never is.
+    ref = ellipkinc(phi, math.sin(alpha) ** 2)
+    assert abs(elliptic_F(phi, alpha) - ref) <= 1e-13 * ref
+
+
+@given(phi=st.floats(0.0, 2.2e-308), alpha=st.floats(0.0, 1.5))
+@example(phi=5e-324, alpha=1.5)
+def test_elliptic_F_is_phi_for_subnormal_phi(phi, alpha):
+    # F = phi + sin(alpha)^2 phi^3 / 6 + ..., and phi^3 underflows
+    assert elliptic_F(phi, alpha) == phi
 
 
 @st.composite

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from stillwave.errors import (DivergentDepth, NoStillSolution, NotStill)
+from stillwave.errors import (DivergentDepth, NoStillSolution, NotStill,
+                              StepFailure)
 from stillwave.stream import (critical_surface_speed, least_still_depth,
                               monotone_interval_lower, shear_solution,
                               solve_cauchy, still_depth_family)
@@ -197,3 +198,10 @@ class TestShearProbe:
     def test_oscillating_flow_reported(self):
         with pytest.raises(ValueError, match="oscillates"):
             shear_solution(LinearVorticity(b=1.0), s=0.5)
+
+    def test_integrator_failure_raises_step_failure(self):
+        # U = 1 lies near y = 1.4e-100, below the step the integrator can
+        # take, so every IVP of the search stops before reaching it
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(StepFailure, match="step size"):
+            shear_solution(ConstantVorticity(b=-1e200), s=0.5)

@@ -7,6 +7,7 @@ hand; the frozen root below was located by a separate bisection on that
 closed form before being wired into these tests.
 """
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -15,9 +16,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stillwave import wavesolver
+from stillwave import cli, wavesolver
 from stillwave.errors import (InvalidSweepCase, NewtonDiverged,
-                              SurfaceCollapse)
+                              StepFailure, SurfaceCollapse)
 from stillwave.stream import shear_solution, still_depth_family
 from stillwave.vorticity import (ConstantVorticity, LinearVorticity,
                                  QuadraticTruncatedVorticity,
@@ -125,7 +126,7 @@ class TestWaveState:
 
     def test_round_trip(self):
         st = WaveState(**self._valid())
-        st2 = WaveState.from_dict(json.loads(json.dumps(st.to_dict())))
+        st2 = WaveState.from_dict(json.loads(cli._render(st)))
         assert st2.r == st.r
         assert np.array_equal(st2.psi, st.psi)
         assert np.array_equal(st2.eta, st.eta)
@@ -152,7 +153,7 @@ class TestWaveState:
             WaveState(**bad)
 
     def test_from_dict_missing_field(self):
-        d = WaveState(**self._valid()).to_dict()
+        d = dataclasses.asdict(WaveState(**self._valid()))
         del d["eta"]
         with pytest.raises(ValueError):
             WaveState.from_dict(d)
@@ -318,6 +319,12 @@ class TestDispersion:
             f, h = dispersion_mode(still_b2, B2, k)
             assert sig == pytest.approx(-float(f(h)), abs=1e-10)
 
+    def test_integrator_failure_raises_step_failure(self, still_b2):
+        # at k = 1000 the mode grows like e^(k y) past the float range
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(StepFailure, match="dispersion integration"):
+            dispersion_sigma(still_b2, B2, 1000.0)
+
     def test_moving_constant_closed_form(self, moving_bm1):
         s2 = math.sqrt(2.0)
         for k in (0.25, 0.8, 1.5, 3.0):
@@ -467,7 +474,7 @@ class TestSweep:
         blobs = set()
         for threads in (1, 3, None):
             rep = nonexistence_sweep(still_b2, B2, threads=threads, **kw)
-            blobs.add(json.dumps(rep.to_dict(), sort_keys=True))
+            blobs.add(json.dumps(dataclasses.asdict(rep), sort_keys=True))
         assert len(blobs) == 1
 
     def test_case_preconditions(self, still_b2):
