@@ -31,7 +31,7 @@ from .errors import DepthMismatch
 from .stream import StreamSolution
 from .vorticity import VorticityDistribution
 from .wavesolver import (FLAT_TOL, StripGrid, WaveState,
-                         _difference_matrices, _sparse_solve, flat_state)
+                         _difference_matrices, _factor, flat_state)
 
 __all__ = [
     "PerturbationFields",
@@ -258,7 +258,7 @@ def _solve_first_order_model(sol: StreamSolution, dist: VorticityDistribution,
     # the flat psi-block of the free-boundary Jacobian at depth h
     K_xx, K_qq = grid._jacobian_factors[:2]
     A = K_xx + K_qq / h ** 2 + sp.diags(np.tile(wp_col[1:ny], nx))
-    w_int = _sparse_solve(A, rhs.ravel()).reshape(nx, ny - 1)
+    w_int = _factor(A).solve(rhs.ravel()).reshape(nx, ny - 1)
 
     w = np.zeros((nx, ny + 1))
     w[:, 1:ny] = w_int

@@ -122,15 +122,24 @@ def _turning_event(terminal: bool = False):
     return turning
 
 
+def _integrate(dist: VorticityDistribution, s: float, y_end: float,
+               **options):
+    """solve_ivp of the system above from (U, U') = (0, s) at the bed to
+    y_end. A step that overflows is the integrator's to reject or report
+    as a failure, so numpy's floating-point warnings are silenced here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solve_ivp(_cauchy_rhs(dist), (0.0, y_end), (0.0, float(s)),
+                         method="DOP853", rtol=INTEGRATOR_RTOL,
+                         atol=INTEGRATOR_ATOL, **options)
+
+
 def solve_cauchy(dist: VorticityDistribution, s: float,
                  y_max: float) -> StreamProfile:
     """Integrate U'' = -omega(U) from the bed with dense output.
 
     y_max may be negative (integration toward negative y).
     """
-    sol = solve_ivp(_cauchy_rhs(dist), (0.0, y_max), (0.0, float(s)),
-                    method="DOP853", rtol=INTEGRATOR_RTOL,
-                    atol=INTEGRATOR_ATOL, dense_output=True)
+    sol = _integrate(dist, s, y_max, dense_output=True)
     if not sol.success:
         raise StepFailure(f"integrator failed on [0, {y_max}]: {sol.message}")
     return StreamProfile(s=float(s), U_values=sol.y[0],
@@ -214,9 +223,8 @@ def monotone_interval_lower(dist: VorticityDistribution, s0: float,
     zero s0 gives 0, since the rise then starts from rest at the bed."""
     if s0 < 1e-13:
         return 0.0
-    sol = solve_ivp(_cauchy_rhs(dist), (0.0, -abs(horizon)), (0.0, float(s0)),
-                    method="DOP853", rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL,
-                    events=(_turning_event(terminal=True),))
+    sol = _integrate(dist, s0, -abs(horizon),
+                     events=(_turning_event(terminal=True),))
     if not sol.success:
         raise StepFailure(f"backward integration failed: {sol.message}")
     if sol.t_events[0].size:
@@ -298,10 +306,8 @@ def shear_solution(dist: VorticityDistribution, s: float) -> StreamSolution:
         return st[0] - 1.0
 
     for Y in (10.0, 100.0, 1000.0):
-        sol = solve_ivp(_cauchy_rhs(dist), (0.0, Y), (0.0, float(s)),
-                        method="DOP853", rtol=INTEGRATOR_RTOL,
-                        atol=INTEGRATOR_ATOL, dense_output=True,
-                        events=(reach, _turning_event()))
+        sol = _integrate(dist, s, Y, dense_output=True,
+                         events=(reach, _turning_event()))
         candidates = [float(t) for t in sol.t_events[0] if t > 1e-12]
         for t in sol.t_events[1]:
             if t > 1e-12 and abs(float(sol.sol(t)[0]) - 1.0) <= 1e-6:

@@ -58,13 +58,19 @@ class ConstantVorticity(VorticityDistribution):
 
     family = "constant"
 
+    # omega and derivative answer a float tau (Python or NumPy) without
+    # the array round trip: the IVP right-hand sides call them every step
     def omega(self, tau):
+        if isinstance(tau, float):
+            return float(self.b)
         return np.full_like(np.asarray(tau, dtype=float), self.b)[()]
 
     def antiderivative(self, tau):
         return self.b * np.asarray(tau, dtype=float)[()]
 
     def derivative(self, tau):
+        if isinstance(tau, float):
+            return 0.0
         return np.zeros_like(np.asarray(tau, dtype=float))[()]
 
     def sup_derivative(self) -> float:
@@ -77,7 +83,10 @@ class LinearVorticity(VorticityDistribution):
 
     family = "linear"
 
+    # a float tau takes the fast path, as for ConstantVorticity
     def omega(self, tau):
+        if isinstance(tau, float):
+            return self.b * tau
         return self.b * np.asarray(tau, dtype=float)[()]
 
     def antiderivative(self, tau):
@@ -85,6 +94,8 @@ class LinearVorticity(VorticityDistribution):
         return (0.5 * self.b * t * t)[()]
 
     def derivative(self, tau):
+        if isinstance(tau, float):
+            return float(self.b)
         return np.full_like(np.asarray(tau, dtype=float), self.b)[()]
 
     def sup_derivative(self) -> float:

@@ -16,7 +16,8 @@ Laplacian into a variable-coefficient operator
 
 discretized with second-order centered differences in both directions
 (one-sided second-order stencils close the q boundary rows). Newton's
-method with an exact sparse Jacobian drives the coupled system; a
+method with an exact sparse Jacobian drives the coupled system; near-flat
+solves start as chord steps on one factor of the flat-state Jacobian. A
 pinned-amplitude variant releases the Bernoulli constant for continuation
 off a bifurcation point.
 """
@@ -27,8 +28,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import NamedTuple, Optional
+from functools import cache, cached_property, partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,6 +68,8 @@ __all__ = [
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 40
 MAX_HALVINGS = 8
+# a chord step is kept only if it cuts max |F| at least this much
+CHORD_CONTRACTION = 0.25
 # max |h - eta| below which a state counts as the flat one
 FLAT_TOL = 1e-8
 
@@ -309,10 +312,15 @@ def perturbed_state(sol: StreamSolution, dist: VorticityDistribution,
                     amplitude: float, mode: int = 1) -> WaveState:
     """Flat state with a cosine ripple of the given amplitude on eta."""
     state = flat_state(sol, dist, period_L, nx, ny)
-    k = 2.0 * math.pi * mode / period_L
-    state.eta = state.eta + amplitude * np.cos(k * state.x)
+    state.eta = _rippled(state, amplitude, mode)
     state.validate()
     return state
+
+
+def _rippled(state: WaveState, amplitude: float, mode: int = 1) -> np.ndarray:
+    """state.eta plus a cosine ripple of the given amplitude and mode."""
+    k = 2.0 * math.pi * mode / state.period_L
+    return state.eta + amplitude * np.cos(k * state.x)
 
 
 class _ResidualParts(NamedTuple):
@@ -377,11 +385,11 @@ def residual_norms(state: WaveState, dist: VorticityDistribution) -> ResidualNor
     return _norms(_residual_parts(state.psi, state.eta, state.r, grid, dist))
 
 
-def _sparse_solve(A, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by SuperLU with a minimum-degree ordering on A^T + A,
-    which on the strip Jacobians makes about half the fill of the default
-    COLAMD. Raises RuntimeError when the factor is exactly singular."""
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+def _factor(A):
+    """SuperLU factor of A with a minimum-degree ordering on A^T + A, which
+    on the strip Jacobians makes about half the fill of the default COLAMD.
+    Raises RuntimeError when A is exactly singular."""
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
@@ -442,13 +450,30 @@ def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
                     [None, pin_row, None]], format="csr")
 
 
+def _factor_at(psi, eta, grid: StripGrid, dist):
+    """SuperLU factor of the Jacobian at (psi, eta); r does not enter it."""
+    parts = _residual_parts(psi, eta, 0.0, grid, dist)
+    return _factor(_assemble_jacobian(psi, eta, parts, grid, dist))
+
+
 def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
-                 pin: Optional[tuple] = None):
+                 pin: Optional[tuple] = None,
+                 reference: Optional[Callable] = None):
     """Damped Newton on the reduced unknowns. Returns psi, eta, r, the
     iteration count and the residual parts of that final state.
 
     Boundary rows of psi are held exact throughout; with pin the
     Bernoulli constant r is released and eta[pin0] = pin1 is enforced.
+
+    reference, when given, is called before the first step for the SuperLU
+    factor of a Jacobian near the solution, and the iteration starts as the
+    chord method on it (Kelley, Iterative Methods for Linear and Nonlinear
+    Equations, SIAM 1995, ch. 5): dz = -lu.solve(F), full steps only. A
+    chord step is accepted when it keeps the surface positive and reaches
+    tol or contracts max|F| by CHORD_CONTRACTION. Otherwise, and when the
+    factor is exactly singular, that same iteration and every later one
+    take the exact damped Newton step, so a failed chord trial costs a
+    solve and a residual evaluation, never an iteration.
     """
     nx, ny = grid.nx, grid.ny
     n_int = nx * (ny - 1)
@@ -464,46 +489,60 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
             F = np.append(F, et[pin[0]] - pin[1])
         return parts, F, float(np.max(np.abs(F)))
 
+    def trial(dz, alpha):
+        """The state z + alpha dz with its residual, or None when its
+        surface is not positive."""
+        eta_t = eta + alpha * dz[n_int:n_int + nx]
+        if np.min(eta_t) <= 0.0:
+            return None
+        psi_t = psi.copy()
+        psi_t[:, 1:ny] += alpha * dz[:n_int].reshape(nx, ny - 1)
+        r_t = r + alpha * (float(dz[-1]) if pin is not None else 0.0)
+        return (psi_t, eta_t, r_t, *evaluate(psi_t, eta_t, r_t))
+
     parts, F, norm = evaluate(psi, eta, r)
+    lu = None
 
     for it in range(max_iter):
         if norm <= tol:
             return psi, eta, r, it, parts
+        if reference is not None:
+            try:
+                lu = reference()
+            except RuntimeError:
+                pass  # exactly singular: exact steps only
+            reference = None
+        if lu is not None:
+            new = trial(lu.solve(-F), 1.0)
+            if new is not None and (new[-1] <= tol
+                                    or new[-1] <= CHORD_CONTRACTION * norm):
+                psi, eta, r, parts, F, norm = new
+                continue
+            lu = None
         J = _assemble_jacobian(psi, eta, parts, grid, dist, pin=pin)
         try:
-            dz = _sparse_solve(J, -F)
+            dz = _factor(J).solve(-F)
         except RuntimeError as exc:
             raise NewtonDiverged(f"singular Jacobian ({exc})") from exc
         if not np.all(np.isfinite(dz)):
             raise NewtonDiverged("singular Jacobian (non-finite Newton step)")
-        dpsi = dz[:n_int].reshape(nx, ny - 1)
-        deta = dz[n_int:n_int + nx]
-        dr = float(dz[-1]) if pin is not None else 0.0
 
         alpha = 1.0
-        accepted = False
         collapse_only = True
         for _ in range(MAX_HALVINGS + 1):
-            eta_t = eta + alpha * deta
-            if np.min(eta_t) <= 0.0:
-                alpha *= 0.5
-                continue
-            collapse_only = False
-            psi_t = psi.copy()
-            psi_t[:, 1:ny] += alpha * dpsi
-            r_t = r + alpha * dr
-            parts_t, F_t, norm_t = evaluate(psi_t, eta_t, r_t)
-            if norm_t < norm or norm_t <= tol:
-                psi, eta, r, parts, F, norm = (psi_t, eta_t, r_t, parts_t,
-                                               F_t, norm_t)
-                accepted = True
-                break
+            new = trial(dz, alpha)
+            if new is not None:
+                collapse_only = False
+                if new[-1] < norm or new[-1] <= tol:
+                    psi, eta, r, parts, F, norm = new
+                    break
             alpha *= 0.5
-        if not accepted:
+        else:
             if collapse_only:
                 raise SurfaceCollapse(
                     f"every damped step drove the surface nonpositive "
-                    f"(min eta + d = {float(np.min(eta + deta)):.3g})")
+                    f"(min eta + d = "
+                    f"{float(np.min(eta + dz[n_int:n_int + nx])):.3g})")
             raise NewtonDiverged(
                 f"line search stalled at iteration {it} (residual {norm:.3g})")
 
@@ -518,12 +557,20 @@ def newton_solve(state: WaveState, dist: VorticityDistribution,
                  max_iter: int = MAX_NEWTON_ITER) -> NewtonResult:
     """Solve the free-boundary system from the given initial state.
 
-    The Bernoulli constant r is held fixed at state.r. Raises
+    The Bernoulli constant r is held fixed at state.r. The steps start as
+    chord steps on the Jacobian at the x-average of the initial state,
+    which for a perturbed_state is the flat state to roundoff; it is
+    factored only if a step is needed, and a chord step that does not
+    contract hands the solve to exact Newton (see _newton_core). Raises
     NewtonDiverged or SurfaceCollapse on failure.
     """
     grid = StripGrid(state.period_L, state.nx, state.ny, "periodic")
+    reference = partial(
+        _factor_at, np.tile(state.psi.mean(axis=0), (state.nx, 1)),
+        np.full(state.nx, state.eta.mean()), grid, dist)
     psi, eta, r, its, parts = _newton_core(
-        state.psi, state.eta, state.r, grid, dist, tol, max_iter)
+        state.psi, state.eta, state.r, grid, dist, tol, max_iter,
+        reference=reference)
     out = WaveState(period_L=state.period_L, nx=state.nx, ny=state.ny,
                     psi=psi, eta=eta, r=r)
     return NewtonResult(state=out, iterations=its, norms=_norms(parts))
@@ -554,10 +601,16 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
     Every case must respect the slope cap (2 pi a / L as proxy for the
     seeded surface slope) and the amplitude cap (default a tenth of the
     depth); a violating case raises InvalidSweepCase rather than running
-    an experiment outside the hypothesis regime. Cases are enumerated in
-    sorted (amplitude, wavelength) order and each case's arithmetic is
-    self-contained, so reports are reproducible run to run regardless of
-    thread count.
+    an experiment outside the hypothesis regime.
+
+    Cases run in groups by wavelength. Each group builds its flat state
+    once, factors the flat-state Jacobian once, and solves its amplitudes
+    by chord Newton on that factor (exact Newton where a chord step does
+    not contract; see _newton_core). Only one group's factor is alive per
+    worker thread, and the threads take whole groups. A case's result
+    depends only on (flow, L, nx, ny, a), so reports are the same whatever
+    the thread count. Entries come back in sorted (amplitude, wavelength)
+    order, duplicates included.
     """
     h = sol.depth
     if amplitude_cap is None:
@@ -576,28 +629,40 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
                 f"exceeds cap {slope_cap:.6g}")
 
     report = check_hypotheses(dist, sol, slope_cap)
+    amps = list(dict.fromkeys(a for a, _ in cases))
+    groups = list(dict.fromkeys(L for _, L in cases))
 
-    def run_case(case):
-        a, L = case
-        entry = {"amplitude": a, "wavelength": L, "converged_to_flat": False,
-                 "final_max_zeta": math.nan, "newton_iterations": 0,
-                 "error": None}
-        try:
-            res = newton_solve(perturbed_state(sol, dist, L, nx, ny, a), dist)
-            zeta_max = float(np.max(np.abs(h - res.state.eta)))
-            entry["final_max_zeta"] = zeta_max
-            entry["converged_to_flat"] = zeta_max < flat_tol
-            entry["newton_iterations"] = res.iterations
-        except (NewtonDiverged, SurfaceCollapse) as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-        return entry
+    def run_group(L):
+        """{a: entry} for every distinct amplitude at wavelength L."""
+        grid = StripGrid(L, nx, ny, "periodic")
+        flat = flat_state(sol, dist, L, nx, ny)
+        reference = cache(partial(_factor_at, flat.psi, flat.eta, grid, dist))
+        entries = {}
+        for a in amps:
+            entry = {"amplitude": a, "wavelength": L,
+                     "converged_to_flat": False, "final_max_zeta": math.nan,
+                     "newton_iterations": 0, "error": None}
+            try:
+                _, eta, _, its, _ = _newton_core(
+                    flat.psi, _rippled(flat, a), flat.r, grid, dist,
+                    NEWTON_TOL, MAX_NEWTON_ITER, reference=reference)
+                zeta_max = float(np.max(np.abs(h - eta)))
+                entry["final_max_zeta"] = zeta_max
+                entry["converged_to_flat"] = zeta_max < flat_tol
+                entry["newton_iterations"] = its
+            except (NewtonDiverged, SurfaceCollapse) as exc:
+                entry["error"] = f"{type(exc).__name__}: {exc}"
+            entries[a] = entry
+        return entries
 
     workers = _thread_cap(threads)
-    if workers == 1 or len(cases) <= 1:
-        entries = [run_case(c) for c in cases]
+    if workers == 1 or len(groups) <= 1:
+        solved = list(map(run_group, groups))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(run_case, cases))
+            solved = list(pool.map(run_group, groups))
+    by_L = dict(zip(groups, solved))
+    entries = [dict(by_L[L][a]) for a, L in cases]
 
     if not report.applicable:
         verdict = VERDICT_NOT_APPLICABLE
@@ -637,8 +702,11 @@ def _dispersion_solve(sol: StreamSolution, dist: VorticityDistribution,
 
     h = sol.depth
     y0 = np.concatenate(((0.0, float(sol.profile.s)), np.zeros(n), np.ones(n)))
-    out = solve_ivp(rhs, (0.0, h), y0, method="DOP853", rtol=1e-12,
-                    atol=1e-14, t_eval=(h,), dense_output=dense_output)
+    # overflow in a failing step surfaces as the StepFailure below, not as
+    # numpy warnings ahead of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = solve_ivp(rhs, (0.0, h), y0, method="DOP853", rtol=1e-12,
+                        atol=1e-14, t_eval=(h,), dense_output=dense_output)
     if not out.success:
         raise StepFailure(f"dispersion integration failed: {out.message}")
     return out

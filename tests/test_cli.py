@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,23 @@ class TestDispersion:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("sub, cfg", [
+        # k h beyond about 709 overflows the unnormalised modes
+        ("dispersion", dict(B2, k_max_scan=800.0)),
+        ("stream", {"vorticity": {"family": "constant", "b": -1e200},
+                    "s": 0.5}),
+    ], ids=["dispersion", "stream"])
+    def test_integrator_failure_prints_only_the_error(self, tmp_path, capsys,
+                                                      sub, cfg):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, report, _, _ = _run(tmp_path, sub, cfg)
+        assert code == 1 and report is None
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "integrat" in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_manifest_digest_matches_canonical_hash(self, tmp_path):
         cfg = dict(LINEAR, k_max=0)
         code, _, out, man = _run(tmp_path, "depths", cfg)

@@ -131,3 +131,21 @@ def test_vectorised_evaluation_shapes():
             out = np.asarray(meth(arr))
             assert out.shape == arr.shape
         assert np.isscalar(float(d.omega(0.5)))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS,
+                         ids=[f"{s['family']}-{i}" for i, s in
+                              enumerate(ALL_SPECS)])
+def test_scalar_and_array_paths_agree_bit_for_bit(spec):
+    # constant and linear answer a float tau without building an array;
+    # every family must give the array path's values, bit for bit
+    d = make_distribution(spec)
+    taus = [-1.3, -0.0, 0.0, 1e-300, 0.3, 0.5, 1.0, 1.1, 2.7]
+    for meth in (d.omega, d.derivative):
+        want = meth(np.array(taus))
+        for i, t in enumerate(taus):
+            got = [meth(t), meth(np.float64(t)), meth(np.array(t)),
+                   meth(np.array([t]))[0]]
+            assert all(np.asarray(g).tobytes() == want[i].tobytes()
+                       for g in got), (meth.__name__, t, got, want[i])
+            assert np.ndim(meth(t)) == 0

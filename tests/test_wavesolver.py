@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from stillwave.vorticity import (ConstantVorticity, LinearVorticity,
 from stillwave.wavesolver import (StripGrid, WaveState,
                                   VERDICT_CONSISTENT,
                                   VERDICT_NOT_APPLICABLE,
-                                  _assemble_jacobian, _residual_parts,
-                                  _residual_vec,
+                                  _assemble_jacobian, _newton_core,
+                                  _residual_parts, _residual_vec,
                                   bifurcation_branch, dispersion_mode,
                                   dispersion_sigma, find_bifurcation_points,
                                   flat_state, newton_solve,
@@ -303,6 +304,17 @@ class TestNewton:
         with pytest.raises(NewtonDiverged, match="singular"):
             newton_solve(st, B2)
 
+    def test_singular_reference_falls_back_to_exact(self, still_b2):
+        st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
+        grid = StripGrid(2.0, 16, 12)
+        n = grid.nx * grid.ny
+        singular = partial(wavesolver._factor, sp.csc_matrix((n, n)))
+        chord = _newton_core(st.psi, st.eta, st.r, grid, B2, 1e-10, 40,
+                             reference=singular)
+        exact = _newton_core(st.psi, st.eta, st.r, grid, B2, 1e-10, 40)
+        assert chord[3] == exact[3]
+        assert np.array_equal(chord[1], exact[1])
+
     def test_unreachable_bernoulli_level_fails(self, still_b2):
         st = flat_state(still_b2, B2, 2.0, 16, 12)
         st.r = -10.0
@@ -487,3 +499,82 @@ class TestSweep:
         with pytest.raises(InvalidSweepCase):
             nonexistence_sweep(still_b2, B2, amplitudes=[-0.01],
                                wavelengths=[2.0], slope_cap=1.0)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counts every SuperLU factorization the solver makes."""
+    count = [0]
+    splu = wavesolver.splu
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(wavesolver, "splu", counting)
+    return count
+
+
+class TestChord:
+    """Chord Newton on the flat-state factor against exact Newton."""
+
+    @pytest.mark.parametrize("dist", [B2, LIN, QUAD],
+                             ids=lambda d: d.family)
+    def test_sweep_factors_once_per_wavelength(self, dist, factorizations):
+        sol = still_depth_family(dist)[0]
+        h = sol.depth
+        rep = nonexistence_sweep(sol, dist,
+                                 amplitudes=[0.005 * h, 0.01 * h, 0.02 * h],
+                                 wavelengths=[4.0, 2.0], slope_cap=1.0,
+                                 nx=32, ny=16, threads=1)
+        assert rep.verdict == VERDICT_CONSISTENT
+        assert factorizations[0] == 2
+
+    @pytest.mark.parametrize("nx, ny", [(32, 16), (64, 32)])
+    @pytest.mark.parametrize("dist", [B2, LIN, QUAD, TAB],
+                             ids=lambda d: d.family)
+    def test_matches_exact_newton(self, dist, nx, ny, factorizations):
+        sol = still_depth_family(dist)[0]
+        st = perturbed_state(sol, dist, 2.0, nx, ny, 0.01 * sol.depth)
+        res = newton_solve(st, dist)
+        assert factorizations[0] == 1
+        _, eta, _, its, _ = _newton_core(st.psi, st.eta, st.r,
+                                         StripGrid(2.0, nx, ny), dist,
+                                         wavesolver.NEWTON_TOL,
+                                         wavesolver.MAX_NEWTON_ITER)
+        assert res.iterations == its
+        assert np.max(np.abs(res.state.eta - eta)) < 1e-12
+
+    def test_no_contraction_falls_back_to_exact(self, still_lin,
+                                                factorizations):
+        # from a ripple of a fifth of the depth the first chord step does
+        # not contract 4x, so the solve is exact Newton from its start
+        st = perturbed_state(still_lin, LIN, 2.0, 32, 16,
+                             0.2 * still_lin.depth)
+        res = newton_solve(st, LIN)
+        assert res.norms.max() <= wavesolver.NEWTON_TOL
+        # the flat factor, then one per exact step
+        assert factorizations[0] == 1 + res.iterations
+        _, eta, _, its, _ = _newton_core(st.psi, st.eta, st.r,
+                                         StripGrid(2.0, 32, 16), LIN,
+                                         wavesolver.NEWTON_TOL,
+                                         wavesolver.MAX_NEWTON_ITER)
+        assert res.iterations == its
+        assert np.array_equal(res.state.eta, eta)
+
+    def test_converged_start_factors_nothing(self, still_b2, factorizations):
+        newton_solve(flat_state(still_b2, B2, 2.0, 16, 12), B2)
+        assert factorizations[0] == 0
+
+    def test_case_depends_only_on_its_own_inputs(self, still_b2):
+        # grouped by wavelength, duplicates included, each entry equals
+        # that of a sweep of its case alone
+        kw = dict(slope_cap=1.0, nx=32, ny=16)
+        rep = nonexistence_sweep(still_b2, B2, amplitudes=[0.02, 0.01, 0.01],
+                                 wavelengths=[4.0, 2.0, 4.0], **kw)
+        assert [(c["amplitude"], c["wavelength"]) for c in rep.cases] == [
+            (a, L) for a in (0.01, 0.01, 0.02) for L in (2.0, 4.0, 4.0)]
+        for c in rep.cases:
+            alone = nonexistence_sweep(still_b2, B2, [c["amplitude"]],
+                                       [c["wavelength"]], **kw)
+            assert alone.cases == [c]
