@@ -266,8 +266,7 @@ def _cmd_sweep(cfg, args, outputs):
         nx=_count(cfg, "nx", 64, least=4), ny=_count(cfg, "ny", 32, least=4),
         amplitude_cap=(_number(cfg, "amplitude_cap", 0.0)
                        if "amplitude_cap" in cfg else None),
-        flat_tol=_number(cfg, "flat_tol", ws.FLAT_TOL),
-        threads=_integer(cfg, "threads", 1) if "threads" in cfg else None)
+        flat_tol=_number(cfg, "flat_tol", ws.FLAT_TOL))
     code = 2 if rep.verdict == ws.VERDICT_NOT_APPLICABLE else 0
     return rep, code
 
@@ -298,7 +297,7 @@ def _cmd_dispersion(cfg, args, outputs):
 def _cmd_diagnose(cfg, args, outputs):
     dist = make_distribution(cfg["vorticity"])
     sol = _resolve_solution(cfg, dist)
-    state_file = cfg.get("state_file") or args.state
+    state_file = args.state or cfg.get("state_file")
     if not (state_file and isinstance(state_file, str)):
         raise ConfigError("diagnose needs a state: config 'state_file' or --state")
     try:

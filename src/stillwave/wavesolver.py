@@ -25,8 +25,6 @@ off a bifurcation point.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from typing import Callable, NamedTuple, Optional
@@ -37,8 +35,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
-from .errors import (ConfigError, InvalidSweepCase, NewtonDiverged,
-                     StepFailure, SurfaceCollapse)
+from .errors import (InvalidSweepCase, NewtonDiverged, StepFailure,
+                     SurfaceCollapse)
 from .hypotheses import HypothesisReport, check_hypotheses
 from .stream import StreamSolution, _cauchy_rhs
 from .vorticity import VorticityDistribution
@@ -576,42 +574,31 @@ def newton_solve(state: WaveState, dist: VorticityDistribution,
     return NewtonResult(state=out, iterations=its, norms=_norms(parts))
 
 
-def _thread_cap(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("STILLWAVE_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(
-                f"STILLWAVE_THREADS must be an integer, got {env!r}") from exc
-    return min(4, os.cpu_count() or 1)
-
-
 def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
                        amplitudes, wavelengths, slope_cap: float,
                        nx: int = 64, ny: int = 32,
                        amplitude_cap: Optional[float] = None,
-                       flat_tol: float = FLAT_TOL,
-                       threads: Optional[int] = None) -> SweepReport:
+                       flat_tol: float = FLAT_TOL) -> SweepReport:
     """Perturb the flat state over an (amplitude, wavelength) grid and
     record whether Newton falls back to flat.
 
     Every case must respect the slope cap (2 pi a / L as proxy for the
     seeded surface slope) and the amplitude cap (default a tenth of the
     depth); a violating case raises InvalidSweepCase rather than running
-    an experiment outside the hypothesis regime.
+    an experiment outside the hypothesis regime. flat_tol must be a
+    positive finite number (ValueError otherwise). Both are checked
+    before any solve.
 
-    Cases run in groups by wavelength. Each group builds its flat state
-    once, factors the flat-state Jacobian once, and solves its amplitudes
-    by chord Newton on that factor (exact Newton where a chord step does
-    not contract; see _newton_core). Only one group's factor is alive per
-    worker thread, and the threads take whole groups. A case's result
-    depends only on (flow, L, nx, ny, a), so reports are the same whatever
-    the thread count. Entries come back in sorted (amplitude, wavelength)
-    order, duplicates included.
+    One loop runs over the distinct wavelengths. For each it builds the
+    grid and the flat state once, factors the flat-state Jacobian once,
+    and solves every distinct amplitude by chord Newton on that factor
+    (exact Newton where a chord step does not contract; see
+    _newton_core). Only one factor is alive at a time. Entries come back
+    in sorted (amplitude, wavelength) order, duplicates included.
     """
+    if not 0.0 < flat_tol < math.inf:
+        raise ValueError(
+            f"flat_tol must be a positive finite number, got {flat_tol!r}")
     h = sol.depth
     if amplitude_cap is None:
         amplitude_cap = 0.1 * h
@@ -629,16 +616,12 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
                 f"exceeds cap {slope_cap:.6g}")
 
     report = check_hypotheses(dist, sol, slope_cap)
-    amps = list(dict.fromkeys(a for a, _ in cases))
-    groups = list(dict.fromkeys(L for _, L in cases))
-
-    def run_group(L):
-        """{a: entry} for every distinct amplitude at wavelength L."""
+    solved = {}
+    for L in dict.fromkeys(L for _, L in cases):
         grid = StripGrid(L, nx, ny, "periodic")
         flat = flat_state(sol, dist, L, nx, ny)
         reference = cache(partial(_factor_at, flat.psi, flat.eta, grid, dist))
-        entries = {}
-        for a in amps:
+        for a in dict.fromkeys(a for a, _ in cases):
             entry = {"amplitude": a, "wavelength": L,
                      "converged_to_flat": False, "final_max_zeta": math.nan,
                      "newton_iterations": 0, "error": None}
@@ -652,17 +635,8 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
                 entry["newton_iterations"] = its
             except (NewtonDiverged, SurfaceCollapse) as exc:
                 entry["error"] = f"{type(exc).__name__}: {exc}"
-            entries[a] = entry
-        return entries
-
-    workers = _thread_cap(threads)
-    if workers == 1 or len(groups) <= 1:
-        solved = list(map(run_group, groups))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(run_group, groups))
-    by_L = dict(zip(groups, solved))
-    entries = [dict(by_L[L][a]) for a, L in cases]
+            solved[a, L] = entry
+    entries = [dict(solved[c]) for c in cases]
 
     if not report.applicable:
         verdict = VERDICT_NOT_APPLICABLE

@@ -100,6 +100,18 @@ class TestSolveAndDiagnose:
         assert rep2["amp_sup"] < 1e-8
         assert rep2["bernoulli_defect"] < 1e-6
 
+    def test_state_flag_overrides_config_state_file(self, tmp_path):
+        state_path = str(tmp_path / "state.json")
+        code, _, _, _ = _run(tmp_path, "solve", dict(B2, nx=16, ny=8),
+                             extra=["--state-out", state_path])
+        assert code == 0
+        cfg = dict(B2, state_file=str(tmp_path / "missing.json"))
+        code, report, _, _ = _run(tmp_path, "diagnose", cfg,
+                                  extra=["--state", state_path],
+                                  name="diag.json")
+        assert code == 0
+        assert report["amp_sup"] < 1e-8
+
     def test_diagnose_without_state_fails(self, tmp_path):
         code, report, _, _ = _run(tmp_path, "diagnose", dict(B2))
         assert code == 1
@@ -158,6 +170,20 @@ class TestSweep:
             digests.append(json.loads(Path(man).read_text())["config_digest"])
         assert blobs[0] == blobs[1]
         assert digests[0] == digests[1]
+
+    def test_thread_settings_are_ignored(self, tmp_path, monkeypatch):
+        """The sweep has no thread settings: a 'threads' key and the
+        STILLWAVE_THREADS variable are ignored like any unknown key."""
+        cfg = dict(B2, amplitudes=[0.01, 0.02], wavelengths=[2.0, 4.0],
+                   nx=16, ny=8)
+        code, _, out, _ = _run(tmp_path, "sweep", cfg)
+        assert code == 0
+        plain = Path(out).read_bytes()
+        monkeypatch.setenv("STILLWAVE_THREADS", "x")
+        code, _, out, _ = _run(tmp_path, "sweep", dict(cfg, threads=3),
+                               name="threads.json")
+        assert code == 0
+        assert Path(out).read_bytes() == plain
 
     def test_missing_grid_keys_fail(self, tmp_path):
         code, report, _, _ = _run(tmp_path, "sweep", dict(B2))
@@ -269,10 +295,10 @@ class TestPlumbing:
         ("solve", {"max_iter": [3]}), ("check", {"member": [1]}),
         ("check", {"slope_bound": None}), ("stream", {"s": None}),
         ("depths", {"k_max": None}), ("sweep", {"amplitude_cap": "x"}),
-        ("sweep", {"threads": None}), ("diagnose", {"t": None}),
+        ("sweep", {"flat_tol": 0}), ("diagnose", {"t": None}),
         ("diagnose", {"delta": "x"}), ("solve", {"nx": 64.7}),
         ("solve", {"max_iter": 0.5}), ("solve", {"amplitude": 0.01, "mode": 1.5}),
-        ("sweep", {"threads": 1.5}), ("depths", {"k_max": 0.5}),
+        ("sweep", {"flat_tol": -1.0}), ("depths", {"k_max": 0.5}),
         ("depths", {"vorticity": {"family": "constant", "b": None}}),
     ])
     def test_malformed_numeric_field_fails(self, tmp_path, capsys, sub, bad):

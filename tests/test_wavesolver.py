@@ -481,15 +481,29 @@ class TestSweep:
         assert not rep.hypothesis.applicable
 
     def test_reports_are_deterministic(self, still_b2):
-        kw = dict(amplitudes=[0.01, 0.02], wavelengths=[2.0, 4.0],
-                  slope_cap=1.0, nx=32, ny=16)
+        amps, lams = [0.01, 0.02], [2.0, 4.0]
+        orders = [(amps, lams), (amps[::-1], lams[::-1]),
+                  (amps + amps[:1], lams[::-1] + lams)]
         blobs = set()
-        for threads in (1, 3, None):
-            rep = nonexistence_sweep(still_b2, B2, threads=threads, **kw)
-            blobs.add(json.dumps(dataclasses.asdict(rep), sort_keys=True))
+        for a_in, L_in in orders:
+            rep = nonexistence_sweep(still_b2, B2, amplitudes=a_in,
+                                     wavelengths=L_in, slope_cap=1.0,
+                                     nx=32, ny=16)
+            assert len(rep.cases) == len(a_in) * len(L_in)
+            d = dataclasses.asdict(rep)
+            # duplicates repeat their case's entry in place
+            d["cases"] = list({(c["amplitude"], c["wavelength"]): c
+                               for c in d["cases"]}.values())
+            blobs.add(json.dumps(d, sort_keys=True))
         assert len(blobs) == 1
 
-    def test_case_preconditions(self, still_b2):
+    def test_case_preconditions(self, still_b2, factorizations):
+        for flat_tol in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="flat_tol"):
+                nonexistence_sweep(still_b2, B2, amplitudes=[0.01],
+                                   wavelengths=[2.0], slope_cap=1.0,
+                                   flat_tol=flat_tol)
+        assert factorizations[0] == 0
         with pytest.raises(InvalidSweepCase):
             nonexistence_sweep(still_b2, B2, amplitudes=[0.2],
                                wavelengths=[2.0], slope_cap=1.0)
@@ -526,7 +540,7 @@ class TestChord:
         rep = nonexistence_sweep(sol, dist,
                                  amplitudes=[0.005 * h, 0.01 * h, 0.02 * h],
                                  wavelengths=[4.0, 2.0], slope_cap=1.0,
-                                 nx=32, ny=16, threads=1)
+                                 nx=32, ny=16)
         assert rep.verdict == VERDICT_CONSISTENT
         assert factorizations[0] == 2
 
