@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DepthMismatch
 from .stream import StreamSolution
 from .vorticity import VorticityDistribution
 from .wavesolver import (FLAT_TOL, StripGrid, WaveState,
-                         _difference_matrices, _factor, flat_state)
+                         _difference_matrices, _flat_psi_blocks, flat_state)
 
 __all__ = [
     "PerturbationFields",
@@ -255,10 +254,11 @@ def _solve_first_order_model(sol: StreamSolution, dist: VorticityDistribution,
     lap_u = grid.Dxx @ u + ((grid.Dqq / h ** 2) @ u.T).T
     rhs = -(wp_col[None, :] * u + lap_u)[:, 1:ny]
 
-    # the flat psi-block of the free-boundary Jacobian at depth h
-    K_xx, K_qq = grid._jacobian_factors[:2]
-    A = K_xx + K_qq / h ** 2 + sp.diags(np.tile(wp_col[1:ny], nx))
-    w_int = _factor(A).solve(rhs.ravel()).reshape(nx, ny - 1)
+    # the flat psi-block of the free-boundary Jacobian at depth h, one
+    # tridiagonal block per rfft mode in x
+    blocks = _flat_psi_blocks(grid, np.full(ny - 1, h ** -2.0), wp_col[1:ny])
+    w_hat = blocks.solve(np.fft.rfft(rhs.T.copy()).view(float)).view(complex)
+    w_int = np.fft.irfft(w_hat, nx).T
 
     w = np.zeros((nx, ny + 1))
     w[:, 1:ny] = w_int

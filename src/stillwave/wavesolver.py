@@ -17,16 +17,19 @@ Laplacian into a variable-coefficient operator
 discretized with second-order centered differences in both directions
 (one-sided second-order stencils close the q boundary rows). Newton's
 method with an exact sparse Jacobian drives the coupled system; near-flat
-solves start as chord steps on one factor of the flat-state Jacobian. A
-pinned-amplitude variant releases the Bernoulli constant for continuation
-off a bifurcation point.
+solves start as chord steps on the flat-state Jacobian, which commutes
+with shifts in x and is solved mode by mode after an rfft in x, with one
+Thomas sweep over q and a Schur step on eta (SuperLU when a pivot is
+weak). A pinned-amplitude variant releases the Bernoulli constant for
+continuation off a bifurcation point.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -70,6 +73,9 @@ MAX_HALVINGS = 8
 CHORD_CONTRACTION = 0.25
 # max |h - eta| below which a state counts as the flat one
 FLAT_TOL = 1e-8
+# a Thomas pivot below this fraction of its block's largest diagonal entry
+# hands the flat-state reference to SuperLU
+_WEAK_PIVOT = 1e-6
 
 VERDICT_CONSISTENT = "consistent with nonexistence prediction"
 VERDICT_NOT_APPLICABLE = "hypotheses not applicable"
@@ -257,11 +263,12 @@ def _polish_flat_column(col: np.ndarray, h: float, ny: int,
     1-D system remove it. Second differences are evaluated by nested
     np.diff, which keeps the cancellation clean near the roundoff floor.
     """
+    if ny < 3:
+        raise ValueError("one-sided q stencils need at least 4 nodes")
     dq = 1.0 / ny
     col = col.copy()
     col[0], col[-1] = 0.0, 1.0
-    _, D2 = _difference_matrices(ny + 1, dq, "one-sided")
-    J_core = (D2[1:ny, 1:ny] / h ** 2).toarray()
+    c2 = np.full(ny - 2, 1.0 / dq ** 2 / h ** 2)
     best = col.copy()
     best_norm = math.inf
     for _ in range(12):
@@ -273,11 +280,9 @@ def _polish_flat_column(col: np.ndarray, h: float, ny: int,
             best = col.copy()
         if norm <= 1e-13:
             break
-        J = J_core + np.diag(np.asarray(dist.derivative(col[1:ny]), dtype=float))
-        try:
-            step = np.linalg.solve(J, -G)
-        except np.linalg.LinAlgError:
-            break
+        # the m = 0 block of the flat psi-block
+        wprime = np.asarray(dist.derivative(col[1:ny]), dtype=float)
+        step = _Thomas(c2, -2.0 / dq ** 2 / h ** 2 + wprime, c2).solve(-G)
         if not np.all(np.isfinite(step)):
             break
         col[1:ny] += step
@@ -390,55 +395,101 @@ def _factor(A):
     return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
-                       dist, pin: Optional[tuple] = None):
-    """Jacobian of [pde rows; bernoulli rows] wrt [interior psi; eta].
+class _Thomas:
+    """Thomas elimination, without pivoting, of tridiagonal systems along
+    the first axis, vectorised over the others. lower and upper hold the
+    n - 1 entries below and above the diagonal and broadcast against the
+    trailing axes of diag. weak is set when some pivot falls below
+    _WEAK_PIVOT times the largest diagonal entry of its system."""
 
-    Both blocks are exact and sparse. The operator is linear in Psi apart
-    from omega(Psi), whose derivative enters the diagonal. A pde row
-    depends on eta only through eta, eta_x = Dx eta and eta_xx = Dxx eta
-    at its own x node, and a Bernoulli row only through eta and eta_x, so
-    the eta-block is diag(dF/deta) E + diag(dF/deta_x) E Dx
-    + diag(dF/deta_xx) E Dxx, with E spreading each x node over its
-    interior rows (E = I for the Bernoulli rows). With pin = (index,
-    value) the system is bordered: r joins the unknowns and the equation
-    eta[index] = value joins the rows.
-    """
-    nx, ny = grid.nx, grid.ny
-    inner = slice(1, ny)
-    K_xx, K_qq, K_xq, K_q, E, E_x, E_xx, S = grid._jacobian_factors
+    def __init__(self, lower, diag, upper):
+        self.upper = upper
+        piv = np.array(diag, dtype=float)
+        mult = np.empty_like(piv[1:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(1, len(piv)):
+                mult[j - 1] = lower[j - 1] / piv[j - 1]
+                piv[j] -= mult[j - 1] * upper[j - 1]
+            self.inv_piv = 1.0 / piv
+        self.mult = mult
+        self.weak = not np.all(
+            np.abs(piv) >= _WEAK_PIVOT * np.max(np.abs(diag), axis=0))
+
+    def solve(self, rhs):
+        y = np.array(rhs, dtype=float)
+        mult, inv_piv, upper = self.mult, self.inv_piv, self.upper
+        with np.errstate(invalid="ignore"):
+            for j in range(1, len(y)):
+                y[j] -= mult[j - 1] * y[j - 1]
+            y[-1] *= inv_piv[-1]
+            for j in range(len(y) - 2, -1, -1):
+                y[j] -= upper[j] * y[j + 1]
+                y[j] *= inv_piv[j]
+        return y
+
+
+# Pointwise coefficients of the Jacobian at one state: the psi-block is
+# K_xx + diag(c_qq) K_qq + diag(c_xq) K_xq + diag(c_q) K_q + diag(wprime)
+# and the eta-block diag(d_eta) E + diag(d_ex) E_x + diag(d_exx) E_xx, all
+# (nx, ny - 1); the Bernoulli rows are diag(bern_psi) S and diag(bern_eta)
+# + diag(bern_ex) Dx, all (nx,).
+_JacobianCoefficients = namedtuple(
+    "_JacobianCoefficients", "c_qq c_xq c_q wprime d_eta d_ex d_exx "
+    "bern_psi bern_eta bern_ex")
+
+
+def _jacobian_coefficients(psi, eta, parts: _ResidualParts, grid: StripGrid,
+                           dist) -> _JacobianCoefficients:
+    """The coefficients of the Jacobian of [pde rows; bernoulli rows] wrt
+    [interior psi; eta] at (psi, eta). The operator is linear in Psi apart
+    from omega(Psi); a pde row depends on eta only through eta, eta_x and
+    eta_xx at its own x node, and d_eta, d_ex and d_exx are the
+    derivatives of c_qq, c_xq and c_q times the Psi terms they scale."""
+    inner = slice(1, grid.ny)
     ex, exx, pq, pqq, pxq = parts.ex, parts.exx, parts.pq, parts.pqq, parts.pxq
     q = grid.q[None, :]
     inv_eta = 1.0 / eta[:, None]
     qe = q * ex[:, None] * inv_eta
     metric = 1.0 + (q * ex[:, None]) ** 2
-
-    c_qq = (metric * inv_eta ** 2)[:, inner].ravel()
-    c_xq = (-2.0 * qe)[:, inner].ravel()
-    c_q = (q * (2.0 * (ex[:, None] * inv_eta) ** 2
-                - exx[:, None] * inv_eta))[:, inner].ravel()
-    wprime = np.asarray(dist.derivative(psi[:, inner]), dtype=float).ravel()
-
-    J_pp = (K_xx + sp.diags(c_qq) @ K_qq + sp.diags(c_xq) @ K_xq
-            + sp.diags(c_q) @ K_q + sp.diags(wprime))
-
-    # bernoulli rows; a diags() product would drop S's entries where pq_s = 0
-    pq_s = pq[:, ny]
-    J_bp = S.multiply((2.0 * (1.0 + ex ** 2) * pq_s / eta ** 2)[:, None])
-
-    # eta-block: derivatives of c_qq, c_xq, c_q times the Psi terms they scale
-    d_eta = (-2.0 * metric * inv_eta ** 3 * pqq
-             + 2.0 * qe * inv_eta * pxq
-             + q * (exx[:, None] - 4.0 * ex[:, None] ** 2 * inv_eta)
-             * inv_eta ** 2 * pq)[:, inner].ravel()
-    d_ex = (2.0 * q * qe * inv_eta * pqq - 2.0 * q * inv_eta * pxq
-            + 4.0 * qe * inv_eta * pq)[:, inner].ravel()
-    d_exx = (-q * inv_eta * pq)[:, inner].ravel()
-    J_pe = (sp.diags(d_eta) @ E + sp.diags(d_ex) @ E_x
-            + sp.diags(d_exx) @ E_xx)
+    pq_s = pq[:, grid.ny]
     s2 = (pq_s / eta) ** 2
-    J_be = (sp.diags(2.0 - 2.0 * (1.0 + ex ** 2) * s2 / eta)
-            + sp.diags(2.0 * ex * s2) @ grid.Dx)
+    return _JacobianCoefficients(
+        c_qq=(metric * inv_eta ** 2)[:, inner],
+        c_xq=(-2.0 * qe)[:, inner],
+        c_q=(q * (2.0 * (ex[:, None] * inv_eta) ** 2
+                  - exx[:, None] * inv_eta))[:, inner],
+        wprime=np.asarray(dist.derivative(psi[:, inner]), dtype=float),
+        d_eta=(-2.0 * metric * inv_eta ** 3 * pqq
+               + 2.0 * qe * inv_eta * pxq
+               + q * (exx[:, None] - 4.0 * ex[:, None] ** 2 * inv_eta)
+               * inv_eta ** 2 * pq)[:, inner],
+        d_ex=(2.0 * q * qe * inv_eta * pqq - 2.0 * q * inv_eta * pxq
+              + 4.0 * qe * inv_eta * pq)[:, inner],
+        d_exx=(-q * inv_eta * pq)[:, inner],
+        bern_psi=2.0 * (1.0 + ex ** 2) * pq_s / eta ** 2,
+        bern_eta=2.0 - 2.0 * (1.0 + ex ** 2) * s2 / eta,
+        bern_ex=2.0 * ex * s2)
+
+
+def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
+                       dist, pin: Optional[tuple] = None):
+    """Jacobian of [pde rows; bernoulli rows] wrt [interior psi; eta], exact
+    and sparse, from the coefficients of _jacobian_coefficients. E spreads
+    each x node over its interior rows (E = I for the Bernoulli rows).
+    With pin = (index, value) the system is bordered: r joins the unknowns
+    and the equation eta[index] = value joins the rows.
+    """
+    nx = grid.nx
+    K_xx, K_qq, K_xq, K_q, E, E_x, E_xx, S = grid._jacobian_factors
+    c = _jacobian_coefficients(psi, eta, parts, grid, dist)
+    J_pp = (K_xx + sp.diags(c.c_qq.ravel()) @ K_qq
+            + sp.diags(c.c_xq.ravel()) @ K_xq + sp.diags(c.c_q.ravel()) @ K_q
+            + sp.diags(c.wprime.ravel()))
+    # a diags() product would drop S's entries where pq_s = 0
+    J_bp = S.multiply(c.bern_psi[:, None])
+    J_pe = (sp.diags(c.d_eta.ravel()) @ E + sp.diags(c.d_ex.ravel()) @ E_x
+            + sp.diags(c.d_exx.ravel()) @ E_xx)
+    J_be = sp.diags(c.bern_eta) + sp.diags(c.bern_ex) @ grid.Dx
 
     if pin is None:
         return sp.bmat([[J_pp, J_pe], [J_bp, J_be]], format="csr")
@@ -448,10 +499,75 @@ def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
                     [None, pin_row, None]], format="csr")
 
 
-def _factor_at(psi, eta, grid: StripGrid, dist):
-    """SuperLU factor of the Jacobian at (psi, eta); r does not enter it."""
+def _dxx_symbol(grid: StripGrid) -> np.ndarray:
+    """Eigenvalues of the periodic Dxx on the rfft modes m = 0 .. nx//2."""
+    m = np.arange(grid.nx // 2 + 1)
+    return -(2.0 - 2.0 * np.cos(2.0 * math.pi * m / grid.nx)) / grid.dx ** 2
+
+
+def _flat_psi_blocks(grid: StripGrid, c_qq, wprime) -> _Thomas:
+    """The blocks T_m = diag(c_qq) Dqq + diag(wprime) + lam_m of the
+    psi-block at an x-independent state (c_qq, wprime: (ny - 1,) columns,
+    lam_m: the symbol of Dxx), interior q nodes along the first axis. Each
+    rfft mode m = 0 .. nx//2 takes two columns, so that complex mode data
+    viewed as float solve with real arithmetic."""
+    Dqq = grid.Dqq[1:grid.ny, 1:grid.ny]
+    return _Thomas(c_qq[1:] * Dqq.diagonal(-1),
+                   (c_qq * Dqq.diagonal() + wprime)[:, None]
+                   + np.repeat(_dxx_symbol(grid), 2),
+                   c_qq[:-1] * Dqq.diagonal(1))
+
+
+class _FlatSolver:
+    """The Jacobian at an x-independent state, solved mode by mode in x.
+
+    That Jacobian commutes with shifts in x (Strang, Stud. Appl. Math. 74,
+    1986; Chan, SIAM J. Sci. Stat. Comput. 9, 1988): after an rfft in x,
+    mode m holds T_m bordered by the eta column d_eta + lam_m d_exx, the
+    Bernoulli row bern_psi S and the corner bern_eta (the other
+    coefficients vanish with eta_x and eta_xx). The build keeps the Thomas
+    pivots, Y_m = T_m^-1 (eta column) and the Schur complements bern_eta -
+    bern_psi S Y_m, and raises RuntimeError when one vanishes to roundoff.
+    A solve is an rfft, one substitution, the Schur step and an irfft.
+    """
+
+    def __init__(self, blocks: _Thomas, coef: _JacobianCoefficients,
+                 grid: StripGrid):
+        self.nx, self.blocks = grid.nx, blocks
+        self.border = coef.bern_psi[0] * grid.Dq[-1, 1:grid.ny].toarray()[0]
+        column = (coef.d_eta[0][:, None]
+                  + coef.d_exx[0][:, None] * _dxx_symbol(grid))
+        self.Y = blocks.solve(column.astype(complex).view(float)).view(complex)
+        self.schur = coef.bern_eta[0] - self.border @ self.Y
+        if not np.all(np.abs(self.schur)
+                      > np.finfo(float).eps * abs(coef.bern_eta[0])):
+            raise RuntimeError("flat Jacobian is singular: a Schur "
+                               "complement vanishes")
+
+    def solve(self, b):
+        nx = self.nx
+        n_int = b.size - nx
+        f = np.empty((n_int // nx + 1, nx))
+        f[:-1], f[-1] = b[:n_int].reshape(nx, -1).T, b[n_int:]
+        f = np.fft.rfft(f)
+        z = self.blocks.solve(f[:-1].view(float)).view(complex)
+        f[-1] = (f[-1] - self.border @ z) / self.schur
+        f[:-1] = z - self.Y * f[-1]
+        out = np.fft.irfft(f, nx)
+        return np.concatenate([out[:-1].T.ravel(), out[-1]])
+
+
+def _flat_reference(psi, eta, grid: StripGrid, dist):
+    """Solver for the Jacobian at the x-independent state (psi, eta): its
+    Fourier blocks, or the SuperLU factor when a Thomas pivot is weak (an
+    indefinite T_m, on flows outside the hypotheses). Raises RuntimeError
+    when the Jacobian is singular."""
     parts = _residual_parts(psi, eta, 0.0, grid, dist)
-    return _factor(_assemble_jacobian(psi, eta, parts, grid, dist))
+    coef = _jacobian_coefficients(psi, eta, parts, grid, dist)
+    blocks = _flat_psi_blocks(grid, coef.c_qq[0], coef.wprime[0])
+    if blocks.weak:
+        return _factor(_assemble_jacobian(psi, eta, parts, grid, dist))
+    return _FlatSolver(blocks, coef, grid)
 
 
 def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
@@ -463,15 +579,17 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
     Boundary rows of psi are held exact throughout; with pin the
     Bernoulli constant r is released and eta[pin0] = pin1 is enforced.
 
-    reference, when given, is called before the first step for the SuperLU
-    factor of a Jacobian near the solution, and the iteration starts as the
-    chord method on it (Kelley, Iterative Methods for Linear and Nonlinear
-    Equations, SIAM 1995, ch. 5): dz = -lu.solve(F), full steps only. A
-    chord step is accepted when it keeps the surface positive and reaches
-    tol or contracts max|F| by CHORD_CONTRACTION. Otherwise, and when the
-    factor is exactly singular, that same iteration and every later one
-    take the exact damped Newton step, so a failed chord trial costs a
-    solve and a residual evaluation, never an iteration.
+    reference, when given, is called before the first step for a solver
+    (an object with solve, such as _flat_reference's Fourier blocks or a
+    SuperLU factor) of a Jacobian near the solution, and the iteration
+    starts as the chord method on it (Kelley, Iterative Methods for Linear
+    and Nonlinear Equations, SIAM 1995, ch. 5): dz = -lu.solve(F), full
+    steps only. A chord step is accepted when it keeps the surface
+    positive and reaches tol or contracts max|F| by CHORD_CONTRACTION.
+    Otherwise, and when reference raises RuntimeError (an exactly singular
+    Jacobian), that same iteration and every later one take the exact
+    damped Newton step, so a failed chord trial costs a solve and a
+    residual evaluation, never an iteration.
     """
     nx, ny = grid.nx, grid.ny
     n_int = nx * (ny - 1)
@@ -557,14 +675,16 @@ def newton_solve(state: WaveState, dist: VorticityDistribution,
 
     The Bernoulli constant r is held fixed at state.r. The steps start as
     chord steps on the Jacobian at the x-average of the initial state,
-    which for a perturbed_state is the flat state to roundoff; it is
-    factored only if a step is needed, and a chord step that does not
-    contract hands the solve to exact Newton (see _newton_core). Raises
-    NewtonDiverged or SurfaceCollapse on failure.
+    which for a perturbed_state is the flat state to roundoff. That
+    Jacobian is solved through its Fourier blocks (_flat_reference, with
+    no sparse factorization unless a Thomas pivot is weak), built only if
+    a step is needed, and a chord step that does not contract hands the
+    solve to exact Newton (see _newton_core). Raises NewtonDiverged or
+    SurfaceCollapse on failure.
     """
     grid = StripGrid(state.period_L, state.nx, state.ny, "periodic")
     reference = partial(
-        _factor_at, np.tile(state.psi.mean(axis=0), (state.nx, 1)),
+        _flat_reference, np.tile(state.psi.mean(axis=0), (state.nx, 1)),
         np.full(state.nx, state.eta.mean()), grid, dist)
     psi, eta, r, its, parts = _newton_core(
         state.psi, state.eta, state.r, grid, dist, tol, max_iter,
@@ -590,11 +710,12 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
     before any solve.
 
     One loop runs over the distinct wavelengths. For each it builds the
-    grid and the flat state once, factors the flat-state Jacobian once,
-    and solves every distinct amplitude by chord Newton on that factor
-    (exact Newton where a chord step does not contract; see
-    _newton_core). Only one factor is alive at a time. Entries come back
-    in sorted (amplitude, wavelength) order, duplicates included.
+    grid, the flat state and the Fourier-block solver of the flat-state
+    Jacobian once (_flat_reference; SuperLU only when a Thomas pivot is
+    weak), and solves every distinct amplitude by chord Newton on it
+    (exact Newton where a chord step does not contract or the Jacobian is
+    singular; see _newton_core). Entries come back in sorted (amplitude,
+    wavelength) order, duplicates included.
     """
     if not 0.0 < flat_tol < math.inf:
         raise ValueError(
@@ -620,7 +741,11 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
     for L in dict.fromkeys(L for _, L in cases):
         grid = StripGrid(L, nx, ny, "periodic")
         flat = flat_state(sol, dist, L, nx, ny)
-        reference = cache(partial(_factor_at, flat.psi, flat.eta, grid, dist))
+        try:
+            solver = _flat_reference(flat.psi, flat.eta, grid, dist)
+            reference = lambda: solver
+        except RuntimeError:
+            reference = None  # exactly singular: exact steps only
         for a in dict.fromkeys(a for a, _ in cases):
             entry = {"amplitude": a, "wavelength": L,
                      "converged_to_flat": False, "final_max_zeta": math.nan,

@@ -16,6 +16,8 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stillwave import cli, wavesolver
 from stillwave.errors import (InvalidSweepCase, NewtonDiverged,
@@ -27,7 +29,8 @@ from stillwave.vorticity import (ConstantVorticity, LinearVorticity,
 from stillwave.wavesolver import (StripGrid, WaveState,
                                   VERDICT_CONSISTENT,
                                   VERDICT_NOT_APPLICABLE,
-                                  _assemble_jacobian, _newton_core,
+                                  _assemble_jacobian,
+                                  _jacobian_coefficients, _newton_core,
                                   _residual_parts, _residual_vec,
                                   bifurcation_branch, dispersion_mode,
                                   dispersion_sigma, find_bifurcation_points,
@@ -299,7 +302,16 @@ class TestNewton:
             n = grid.nx * grid.ny
             return sp.csr_matrix((n, n))
 
+        def zero_coefficients(*args):
+            coef = _jacobian_coefficients(*args)
+            return type(coef)(*map(np.zeros_like, coef))
+
+        # the flat reference reads the coefficients: with all of them zero
+        # its m = 0 block has zero pivots and it falls back to the SuperLU
+        # factor of the zero Jacobian, which is singular
         monkeypatch.setattr(wavesolver, "_assemble_jacobian", zero_jacobian)
+        monkeypatch.setattr(wavesolver, "_jacobian_coefficients",
+                            zero_coefficients)
         st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
         with pytest.raises(NewtonDiverged, match="singular"):
             newton_solve(st, B2)
@@ -309,6 +321,26 @@ class TestNewton:
         grid = StripGrid(2.0, 16, 12)
         n = grid.nx * grid.ny
         singular = partial(wavesolver._factor, sp.csc_matrix((n, n)))
+        chord = _newton_core(st.psi, st.eta, st.r, grid, B2, 1e-10, 40,
+                             reference=singular)
+        exact = _newton_core(st.psi, st.eta, st.r, grid, B2, 1e-10, 40)
+        assert chord[3] == exact[3]
+        assert np.array_equal(chord[1], exact[1])
+
+    def test_singular_flat_solver_falls_back_to_exact(self, still_b2):
+        # a zero Bernoulli border makes every Schur complement zero
+        st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
+        flat = flat_state(still_b2, B2, 2.0, 16, 12)
+        grid = StripGrid(2.0, 16, 12)
+        parts = _residual_parts(flat.psi, flat.eta, flat.r, grid, B2)
+        coef = _jacobian_coefficients(flat.psi, flat.eta, parts, grid, B2)
+        coef = coef._replace(bern_psi=0.0 * coef.bern_psi,
+                             bern_eta=0.0 * coef.bern_eta)
+        blocks = wavesolver._flat_psi_blocks(grid, coef.c_qq[0],
+                                             coef.wprime[0])
+        singular = partial(wavesolver._FlatSolver, blocks, coef, grid)
+        with pytest.raises(RuntimeError, match="singular"):
+            singular()
         chord = _newton_core(st.psi, st.eta, st.r, grid, B2, 1e-10, 40,
                              reference=singular)
         exact = _newton_core(st.psi, st.eta, st.r, grid, B2, 1e-10, 40)
@@ -503,7 +535,7 @@ class TestSweep:
                 nonexistence_sweep(still_b2, B2, amplitudes=[0.01],
                                    wavelengths=[2.0], slope_cap=1.0,
                                    flat_tol=flat_tol)
-        assert factorizations[0] == 0
+        assert factorizations == {"splu": 0, "flat": 0}
         with pytest.raises(InvalidSweepCase):
             nonexistence_sweep(still_b2, B2, amplitudes=[0.2],
                                wavelengths=[2.0], slope_cap=1.0)
@@ -517,20 +549,25 @@ class TestSweep:
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Counts every SuperLU factorization the solver makes."""
-    count = [0]
-    splu = wavesolver.splu
+    """Counts every SuperLU factorization ("splu") and every flat-state
+    reference build ("flat") the solver makes."""
+    count = {"splu": 0, "flat": 0}
 
-    def counting(*args, **kwargs):
-        count[0] += 1
-        return splu(*args, **kwargs)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            count[name] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(wavesolver, "splu", counting)
+    monkeypatch.setattr(wavesolver, "splu",
+                        counting("splu", wavesolver.splu))
+    monkeypatch.setattr(wavesolver, "_flat_reference",
+                        counting("flat", wavesolver._flat_reference))
     return count
 
 
 class TestChord:
-    """Chord Newton on the flat-state factor against exact Newton."""
+    """Chord Newton on the flat-state reference against exact Newton."""
 
     @pytest.mark.parametrize("dist", [B2, LIN, QUAD],
                              ids=lambda d: d.family)
@@ -542,7 +579,7 @@ class TestChord:
                                  wavelengths=[4.0, 2.0], slope_cap=1.0,
                                  nx=32, ny=16)
         assert rep.verdict == VERDICT_CONSISTENT
-        assert factorizations[0] == 2
+        assert factorizations == {"splu": 0, "flat": 2}
 
     @pytest.mark.parametrize("nx, ny", [(32, 16), (64, 32)])
     @pytest.mark.parametrize("dist", [B2, LIN, QUAD, TAB],
@@ -551,7 +588,7 @@ class TestChord:
         sol = still_depth_family(dist)[0]
         st = perturbed_state(sol, dist, 2.0, nx, ny, 0.01 * sol.depth)
         res = newton_solve(st, dist)
-        assert factorizations[0] == 1
+        assert factorizations == {"splu": 0, "flat": 1}
         _, eta, _, its, _ = _newton_core(st.psi, st.eta, st.r,
                                          StripGrid(2.0, nx, ny), dist,
                                          wavesolver.NEWTON_TOL,
@@ -567,8 +604,8 @@ class TestChord:
                              0.2 * still_lin.depth)
         res = newton_solve(st, LIN)
         assert res.norms.max() <= wavesolver.NEWTON_TOL
-        # the flat factor, then one per exact step
-        assert factorizations[0] == 1 + res.iterations
+        # the flat reference, then one factor per exact step
+        assert factorizations == {"splu": res.iterations, "flat": 1}
         _, eta, _, its, _ = _newton_core(st.psi, st.eta, st.r,
                                          StripGrid(2.0, 32, 16), LIN,
                                          wavesolver.NEWTON_TOL,
@@ -578,7 +615,7 @@ class TestChord:
 
     def test_converged_start_factors_nothing(self, still_b2, factorizations):
         newton_solve(flat_state(still_b2, B2, 2.0, 16, 12), B2)
-        assert factorizations[0] == 0
+        assert factorizations == {"splu": 0, "flat": 0}
 
     def test_case_depends_only_on_its_own_inputs(self, still_b2):
         # grouped by wavelength, duplicates included, each entry equals
@@ -592,3 +629,85 @@ class TestChord:
             alone = nonexistence_sweep(still_b2, B2, [c["amplitude"]],
                                        [c["wavelength"]], **kw)
             assert alone.cases == [c]
+
+
+def _assert_flat_solver_matches_splu(sol, dist, L, nx, ny):
+    """The Fourier-block solver of the flat-state Jacobian against the
+    SuperLU factor of its sparse assembly, on random right-hand sides."""
+    grid = StripGrid(L, nx, ny)
+    flat = flat_state(sol, dist, L, nx, ny)
+    solver = wavesolver._flat_reference(flat.psi, flat.eta, grid, dist)
+    assert isinstance(solver, wavesolver._FlatSolver)
+    parts = _residual_parts(flat.psi, flat.eta, flat.r, grid, dist)
+    lu = wavesolver._factor(
+        _assemble_jacobian(flat.psi, flat.eta, parts, grid, dist))
+    for b in np.random.default_rng(nx * ny).standard_normal((2, nx * ny)):
+        ref = lu.solve(b)
+        assert np.max(np.abs(solver.solve(b) - ref)) <= 1e-12 * np.max(
+            np.abs(ref))
+
+
+# random still flows of the four families, in the benchmark's bands
+_STILL_FLOWS = st.one_of(
+    st.builds(ConstantVorticity, b=st.floats(1.1, 3.0)),
+    st.builds(LinearVorticity, b=st.floats(0.5, 3.0)),
+    st.builds(QuadraticTruncatedVorticity, b=st.floats(0.5, 3.0),
+              R=st.floats(1.05, 1.6)),
+    st.builds(lambda v0, v1: TabulatedVorticity(nodes=[0.0, 1.0],
+                                                values=[v0, v1]),
+              st.floats(0.2, 2.0), st.floats(0.2, 2.0)))
+
+
+class TestFlatSolver:
+    """The Fourier-block flat-state reference against SuperLU."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(dist=_STILL_FLOWS, L=st.floats(1.5, 8.0),
+           size=st.sampled_from([(32, 16), (64, 32)]))
+    def test_matches_splu_on_random_still_flows(self, dist, L, size):
+        _assert_flat_solver_matches_splu(still_depth_family(dist)[0], dist,
+                                         L, *size)
+
+    @pytest.mark.parametrize("nx, ny", [(31, 16), (128, 64), (256, 128)])
+    @pytest.mark.parametrize("dist", [B2, LIN, QUAD, TAB],
+                             ids=lambda d: d.family)
+    def test_matches_splu_on_fixed_grids(self, dist, nx, ny):
+        _assert_flat_solver_matches_splu(still_depth_family(dist)[0], dist,
+                                         3.0, nx, ny)
+
+    @pytest.mark.parametrize("nx, ny", [(31, 16), (64, 32), (128, 64)])
+    def test_matches_splu_on_a_moving_flow(self, moving_bm1, nx, ny):
+        # Psi_q(h) is far from zero, so the Bernoulli border couples
+        assert abs(moving_bm1.surface_speed) > 0.5
+        _assert_flat_solver_matches_splu(moving_bm1, BM1, 3.0, nx, ny)
+
+    def test_weak_pivot_falls_back_to_splu(self, factorizations):
+        # omega' = b = 1 / (h dq)^2 on h = 1 makes the m = 0 block
+        # indefinite with an exactly zero second Thomas pivot
+        nx, ny, L = 16, 16, 2.0
+        dist = LinearVorticity(b=float(ny ** 2))
+        T = (np.diag(np.full(ny - 1, -dist.b))
+             + dist.b * (np.eye(ny - 1, k=1) + np.eye(ny - 1, k=-1)))
+        col = np.concatenate(
+            ([0.0], np.linalg.solve(T, -dist.b * np.eye(ny - 1)[-1]), [1.0]))
+        pq_s = (3.0 * col[-1] - 4.0 * col[-2] + col[-3]) * ny / 2.0
+        grid = StripGrid(L, nx, ny)
+        psi = np.tile(col, (nx, 1))
+        blocks = wavesolver._flat_psi_blocks(
+            grid, np.ones(ny - 1), np.full(ny - 1, dist.b))
+        assert blocks.weak
+        st_ = WaveState(L, nx, ny, psi, 1.0 + 0.01 * np.cos(math.pi * grid.x),
+                        (pq_s ** 2 + 2.0) / 3.0)
+        res = newton_solve(st_, dist)
+        assert factorizations == {"splu": 1, "flat": 1}
+        assert res.norms.max() <= wavesolver.NEWTON_TOL
+        flat = np.ones(nx)
+        parts = _residual_parts(psi, flat, st_.r, grid, dist)
+        lu = partial(wavesolver._factor,
+                     _assemble_jacobian(psi, flat, parts, grid, dist))
+        _, eta, _, its, _ = _newton_core(st_.psi, st_.eta, st_.r, grid, dist,
+                                         wavesolver.NEWTON_TOL,
+                                         wavesolver.MAX_NEWTON_ITER,
+                                         reference=lu)
+        assert res.iterations == its
+        assert np.array_equal(res.state.eta, eta)
