@@ -30,7 +30,7 @@ from .errors import DepthMismatch
 from .stream import StreamSolution
 from .vorticity import VorticityDistribution
 from .wavesolver import (FLAT_TOL, StripGrid, WaveState,
-                         _difference_matrices, _flat_psi_blocks, flat_state)
+                         _FlatBlocks, _difference_matrices, flat_state)
 
 __all__ = [
     "PerturbationFields",
@@ -256,8 +256,8 @@ def _solve_first_order_model(sol: StreamSolution, dist: VorticityDistribution,
 
     # the flat psi-block of the free-boundary Jacobian at depth h, one
     # tridiagonal block per rfft mode in x
-    blocks = _flat_psi_blocks(grid, np.full(ny - 1, h ** -2.0), wp_col[1:ny])
-    w_hat = blocks.solve(np.fft.rfft(rhs.T.copy()).view(float)).view(complex)
+    blocks = _FlatBlocks(grid, h ** -2.0, wp_col[1:ny])
+    w_hat = blocks.solve(np.fft.rfft(rhs.T))
     w_int = np.fft.irfft(w_hat, nx).T
 
     w = np.zeros((nx, ny + 1))

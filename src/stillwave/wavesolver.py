@@ -18,9 +18,9 @@ discretized with second-order centered differences in both directions
 (one-sided second-order stencils close the q boundary rows). Newton's
 method with an exact sparse Jacobian drives the coupled system; near-flat
 solves start as chord steps on the flat-state Jacobian, which commutes
-with shifts in x and is solved mode by mode after an rfft in x, with one
-Thomas sweep over q and a Schur step on eta (SuperLU when a pivot is
-weak). A pinned-amplitude variant releases the Bernoulli constant for
+with shifts in x and is solved mode by mode after an rfft in x, through
+one eigendecomposition in q shared by every mode and a Schur step on eta.
+A pinned-amplitude variant releases the Bernoulli constant for
 continuation off a bifurcation point.
 """
 
@@ -35,6 +35,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
@@ -73,9 +74,6 @@ MAX_HALVINGS = 8
 CHORD_CONTRACTION = 0.25
 # max |h - eta| below which a state counts as the flat one
 FLAT_TOL = 1e-8
-# a Thomas pivot below this fraction of its block's largest diagonal entry
-# hands the flat-state reference to SuperLU
-_WEAK_PIVOT = 1e-6
 
 VERDICT_CONSISTENT = "consistent with nonexistence prediction"
 VERDICT_NOT_APPLICABLE = "hypotheses not applicable"
@@ -268,7 +266,8 @@ def _polish_flat_column(col: np.ndarray, h: float, ny: int,
     dq = 1.0 / ny
     col = col.copy()
     col[0], col[-1] = 0.0, 1.0
-    c2 = np.full(ny - 2, 1.0 / dq ** 2 / h ** 2)
+    # the m = 0 block of the flat psi-block, as LAPACK's banded storage
+    bands = np.full((3, ny - 1), 1.0 / dq ** 2 / h ** 2)
     best = col.copy()
     best_norm = math.inf
     for _ in range(12):
@@ -280,9 +279,12 @@ def _polish_flat_column(col: np.ndarray, h: float, ny: int,
             best = col.copy()
         if norm <= 1e-13:
             break
-        # the m = 0 block of the flat psi-block
-        wprime = np.asarray(dist.derivative(col[1:ny]), dtype=float)
-        step = _Thomas(c2, -2.0 / dq ** 2 / h ** 2 + wprime, c2).solve(-G)
+        bands[1] = (np.asarray(dist.derivative(col[1:ny]), dtype=float)
+                    - 2.0 * bands[0])
+        try:
+            step = solve_banded((1, 1), bands, -G, check_finite=False)
+        except np.linalg.LinAlgError:
+            break
         if not np.all(np.isfinite(step)):
             break
         col[1:ny] += step
@@ -395,39 +397,6 @@ def _factor(A):
     return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-class _Thomas:
-    """Thomas elimination, without pivoting, of tridiagonal systems along
-    the first axis, vectorised over the others. lower and upper hold the
-    n - 1 entries below and above the diagonal and broadcast against the
-    trailing axes of diag. weak is set when some pivot falls below
-    _WEAK_PIVOT times the largest diagonal entry of its system."""
-
-    def __init__(self, lower, diag, upper):
-        self.upper = upper
-        piv = np.array(diag, dtype=float)
-        mult = np.empty_like(piv[1:])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for j in range(1, len(piv)):
-                mult[j - 1] = lower[j - 1] / piv[j - 1]
-                piv[j] -= mult[j - 1] * upper[j - 1]
-            self.inv_piv = 1.0 / piv
-        self.mult = mult
-        self.weak = not np.all(
-            np.abs(piv) >= _WEAK_PIVOT * np.max(np.abs(diag), axis=0))
-
-    def solve(self, rhs):
-        y = np.array(rhs, dtype=float)
-        mult, inv_piv, upper = self.mult, self.inv_piv, self.upper
-        with np.errstate(invalid="ignore"):
-            for j in range(1, len(y)):
-                y[j] -= mult[j - 1] * y[j - 1]
-            y[-1] *= inv_piv[-1]
-            for j in range(len(y) - 2, -1, -1):
-                y[j] -= upper[j] * y[j + 1]
-                y[j] *= inv_piv[j]
-        return y
-
-
 # Pointwise coefficients of the Jacobian at one state: the psi-block is
 # K_xx + diag(c_qq) K_qq + diag(c_xq) K_xq + diag(c_q) K_q + diag(wprime)
 # and the eta-block diag(d_eta) E + diag(d_ex) E_x + diag(d_exx) E_xx, all
@@ -505,17 +474,31 @@ def _dxx_symbol(grid: StripGrid) -> np.ndarray:
     return -(2.0 - 2.0 * np.cos(2.0 * math.pi * m / grid.nx)) / grid.dx ** 2
 
 
-def _flat_psi_blocks(grid: StripGrid, c_qq, wprime) -> _Thomas:
-    """The blocks T_m = diag(c_qq) Dqq + diag(wprime) + lam_m of the
-    psi-block at an x-independent state (c_qq, wprime: (ny - 1,) columns,
-    lam_m: the symbol of Dxx), interior q nodes along the first axis. Each
-    rfft mode m = 0 .. nx//2 takes two columns, so that complex mode data
-    viewed as float solve with real arithmetic."""
-    Dqq = grid.Dqq[1:grid.ny, 1:grid.ny]
-    return _Thomas(c_qq[1:] * Dqq.diagonal(-1),
-                   (c_qq * Dqq.diagonal() + wprime)[:, None]
-                   + np.repeat(_dxx_symbol(grid), 2),
-                   c_qq[:-1] * Dqq.diagonal(1))
+class _FlatBlocks:
+    """The blocks T_m = A + lam_m I of the psi-block at an x-independent
+    state, one per rfft mode m = 0 .. nx//2 (lam_m: the symbol of Dxx),
+    with A = c Dqq + diag(wprime) on the interior q nodes. c_qq = c is the
+    same on every node of such a state, so A is symmetric tridiagonal and
+    one eigendecomposition A = V diag(mu) V^T diagonalises every block
+    (the fast diagonalisation of Lynch, Rice & Thomas, Numer. Math. 6,
+    1964): T_m^-1 = V diag(1 / (mu + lam_m)) V^T, with no pivots. Raises
+    RuntimeError when some mu_i + lam_m vanishes to roundoff."""
+
+    def __init__(self, grid: StripGrid, c: float, wprime):
+        Dqq = grid.Dqq[1:grid.ny, 1:grid.ny]
+        mu, self.V = eigh_tridiagonal(c * Dqq.diagonal() + wprime,
+                                      c * Dqq.diagonal(1))
+        lam = _dxx_symbol(grid)
+        self.denom = mu[:, None] + lam
+        if np.any(np.abs(self.denom) <= np.finfo(float).eps
+                  * (np.max(np.abs(mu)) + np.abs(lam))):
+            raise RuntimeError("flat Jacobian is singular: a Fourier block "
+                               "is singular")
+
+    def solve(self, rhs):
+        """T_m^-1 rhs[:, m] for every mode m; rhs is (ny - 1, nx//2 + 1),
+        real or complex."""
+        return self.V @ ((self.V.T @ rhs) / self.denom)
 
 
 class _FlatSolver:
@@ -525,19 +508,20 @@ class _FlatSolver:
     1986; Chan, SIAM J. Sci. Stat. Comput. 9, 1988): after an rfft in x,
     mode m holds T_m bordered by the eta column d_eta + lam_m d_exx, the
     Bernoulli row bern_psi S and the corner bern_eta (the other
-    coefficients vanish with eta_x and eta_xx). The build keeps the Thomas
-    pivots, Y_m = T_m^-1 (eta column) and the Schur complements bern_eta -
-    bern_psi S Y_m, and raises RuntimeError when one vanishes to roundoff.
-    A solve is an rfft, one substitution, the Schur step and an irfft.
+    coefficients vanish with eta_x and eta_xx). The build keeps the blocks
+    (_FlatBlocks), Y_m = T_m^-1 (eta column) and the Schur complements
+    bern_eta - bern_psi S Y_m, and raises RuntimeError when a block is
+    singular or a Schur complement vanishes to roundoff. A solve is an
+    rfft, one block solve, the Schur step and an irfft.
     """
 
-    def __init__(self, blocks: _Thomas, coef: _JacobianCoefficients,
-                 grid: StripGrid):
-        self.nx, self.blocks = grid.nx, blocks
+    def __init__(self, coef: _JacobianCoefficients, grid: StripGrid):
+        self.nx = grid.nx
+        self.blocks = _FlatBlocks(grid, coef.c_qq[0, 0], coef.wprime[0])
         self.border = coef.bern_psi[0] * grid.Dq[-1, 1:grid.ny].toarray()[0]
         column = (coef.d_eta[0][:, None]
                   + coef.d_exx[0][:, None] * _dxx_symbol(grid))
-        self.Y = blocks.solve(column.astype(complex).view(float)).view(complex)
+        self.Y = self.blocks.solve(column)
         self.schur = coef.bern_eta[0] - self.border @ self.Y
         if not np.all(np.abs(self.schur)
                       > np.finfo(float).eps * abs(coef.bern_eta[0])):
@@ -550,7 +534,7 @@ class _FlatSolver:
         f = np.empty((n_int // nx + 1, nx))
         f[:-1], f[-1] = b[:n_int].reshape(nx, -1).T, b[n_int:]
         f = np.fft.rfft(f)
-        z = self.blocks.solve(f[:-1].view(float)).view(complex)
+        z = self.blocks.solve(f[:-1])
         f[-1] = (f[-1] - self.border @ z) / self.schur
         f[:-1] = z - self.Y * f[-1]
         out = np.fft.irfft(f, nx)
@@ -558,16 +542,11 @@ class _FlatSolver:
 
 
 def _flat_reference(psi, eta, grid: StripGrid, dist):
-    """Solver for the Jacobian at the x-independent state (psi, eta): its
-    Fourier blocks, or the SuperLU factor when a Thomas pivot is weak (an
-    indefinite T_m, on flows outside the hypotheses). Raises RuntimeError
-    when the Jacobian is singular."""
+    """The Fourier-block solver of the Jacobian at the x-independent state
+    (psi, eta). Raises RuntimeError when that Jacobian is singular."""
     parts = _residual_parts(psi, eta, 0.0, grid, dist)
-    coef = _jacobian_coefficients(psi, eta, parts, grid, dist)
-    blocks = _flat_psi_blocks(grid, coef.c_qq[0], coef.wprime[0])
-    if blocks.weak:
-        return _factor(_assemble_jacobian(psi, eta, parts, grid, dist))
-    return _FlatSolver(blocks, coef, grid)
+    return _FlatSolver(_jacobian_coefficients(psi, eta, parts, grid, dist),
+                       grid)
 
 
 def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
@@ -677,10 +656,9 @@ def newton_solve(state: WaveState, dist: VorticityDistribution,
     chord steps on the Jacobian at the x-average of the initial state,
     which for a perturbed_state is the flat state to roundoff. That
     Jacobian is solved through its Fourier blocks (_flat_reference, with
-    no sparse factorization unless a Thomas pivot is weak), built only if
-    a step is needed, and a chord step that does not contract hands the
-    solve to exact Newton (see _newton_core). Raises NewtonDiverged or
-    SurfaceCollapse on failure.
+    no sparse factorization), built only if a step is needed, and a chord
+    step that does not contract hands the solve to exact Newton (see
+    _newton_core). Raises NewtonDiverged or SurfaceCollapse on failure.
     """
     grid = StripGrid(state.period_L, state.nx, state.ny, "periodic")
     reference = partial(
@@ -711,11 +689,11 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
 
     One loop runs over the distinct wavelengths. For each it builds the
     grid, the flat state and the Fourier-block solver of the flat-state
-    Jacobian once (_flat_reference; SuperLU only when a Thomas pivot is
-    weak), and solves every distinct amplitude by chord Newton on it
-    (exact Newton where a chord step does not contract or the Jacobian is
-    singular; see _newton_core). Entries come back in sorted (amplitude,
-    wavelength) order, duplicates included.
+    Jacobian once (_flat_reference, with no sparse factorization), and
+    solves every distinct amplitude by chord Newton on it (exact Newton
+    where a chord step does not contract or the Jacobian is singular; see
+    _newton_core). Entries come back in sorted (amplitude, wavelength)
+    order, duplicates included.
     """
     if not 0.0 < flat_tol < math.inf:
         raise ValueError(

@@ -31,7 +31,7 @@ from stillwave.wavesolver import (StripGrid, WaveState,
                                   VERDICT_NOT_APPLICABLE,
                                   _assemble_jacobian,
                                   _jacobian_coefficients, _newton_core,
-                                  _residual_parts, _residual_vec,
+                                  _residual_parts, _residual_vec, _rippled,
                                   bifurcation_branch, dispersion_mode,
                                   dispersion_sigma, find_bifurcation_points,
                                   flat_state, newton_solve,
@@ -190,6 +190,16 @@ class TestFlatState:
         assert shifted.bernoulli == pytest.approx(0.03, abs=1e-12)
         assert shifted.pde == base.pde
 
+    def test_polish_solves_an_indefinite_column(self):
+        # omega' = b = 1 / (h dq)^2 on h = 1: the vertical system is
+        # indefinite, with an exactly zero second pivot if unpivoted
+        ny, dist = 16, LinearVorticity(b=256.0)
+        q = np.linspace(0.0, 1.0, ny + 1)
+        col = wavesolver._polish_flat_column(np.sin(16.0 * q) / math.sin(16.0),
+                                             1.0, ny, dist)
+        G = np.diff(col, 2) * ny ** 2 + dist.omega(col[1:ny])
+        assert np.max(np.abs(G)) <= 1e-12
+
     @pytest.mark.parametrize("ny", [1, 2])
     def test_too_few_q_nodes_is_value_error(self, still_b2, ny):
         # the one-sided q closures need four nodes, ny + 1 >= 4
@@ -307,8 +317,8 @@ class TestNewton:
             return type(coef)(*map(np.zeros_like, coef))
 
         # the flat reference reads the coefficients: with all of them zero
-        # its m = 0 block has zero pivots and it falls back to the SuperLU
-        # factor of the zero Jacobian, which is singular
+        # its m = 0 block is zero, so the reference raises and the solve
+        # takes exact steps on the zero Jacobian, whose SuperLU factor fails
         monkeypatch.setattr(wavesolver, "_assemble_jacobian", zero_jacobian)
         monkeypatch.setattr(wavesolver, "_jacobian_coefficients",
                             zero_coefficients)
@@ -336,9 +346,7 @@ class TestNewton:
         coef = _jacobian_coefficients(flat.psi, flat.eta, parts, grid, B2)
         coef = coef._replace(bern_psi=0.0 * coef.bern_psi,
                              bern_eta=0.0 * coef.bern_eta)
-        blocks = wavesolver._flat_psi_blocks(grid, coef.c_qq[0],
-                                             coef.wprime[0])
-        singular = partial(wavesolver._FlatSolver, blocks, coef, grid)
+        singular = partial(wavesolver._FlatSolver, coef, grid)
         with pytest.raises(RuntimeError, match="singular"):
             singular()
         chord = _newton_core(st.psi, st.eta, st.r, grid, B2, 1e-10, 40,
@@ -631,11 +639,11 @@ class TestChord:
             assert alone.cases == [c]
 
 
-def _assert_flat_solver_matches_splu(sol, dist, L, nx, ny):
-    """The Fourier-block solver of the flat-state Jacobian against the
-    SuperLU factor of its sparse assembly, on random right-hand sides."""
-    grid = StripGrid(L, nx, ny)
-    flat = flat_state(sol, dist, L, nx, ny)
+def _assert_flat_solver_matches_splu(flat, dist):
+    """The Fourier-block solver of the Jacobian at the flat state against
+    the SuperLU factor of its sparse assembly, on random right-hand sides."""
+    nx, ny = flat.nx, flat.ny
+    grid = StripGrid(flat.period_L, nx, ny)
     solver = wavesolver._flat_reference(flat.psi, flat.eta, grid, dist)
     assert isinstance(solver, wavesolver._FlatSolver)
     parts = _residual_parts(flat.psi, flat.eta, flat.r, grid, dist)
@@ -665,25 +673,42 @@ class TestFlatSolver:
     @given(dist=_STILL_FLOWS, L=st.floats(1.5, 8.0),
            size=st.sampled_from([(32, 16), (64, 32)]))
     def test_matches_splu_on_random_still_flows(self, dist, L, size):
-        _assert_flat_solver_matches_splu(still_depth_family(dist)[0], dist,
-                                         L, *size)
+        sol = still_depth_family(dist)[0]
+        _assert_flat_solver_matches_splu(flat_state(sol, dist, L, *size), dist)
 
     @pytest.mark.parametrize("nx, ny", [(31, 16), (128, 64), (256, 128)])
     @pytest.mark.parametrize("dist", [B2, LIN, QUAD, TAB],
                              ids=lambda d: d.family)
     def test_matches_splu_on_fixed_grids(self, dist, nx, ny):
-        _assert_flat_solver_matches_splu(still_depth_family(dist)[0], dist,
-                                         3.0, nx, ny)
+        sol = still_depth_family(dist)[0]
+        _assert_flat_solver_matches_splu(flat_state(sol, dist, 3.0, nx, ny),
+                                         dist)
 
     @pytest.mark.parametrize("nx, ny", [(31, 16), (64, 32), (128, 64)])
     def test_matches_splu_on_a_moving_flow(self, moving_bm1, nx, ny):
         # Psi_q(h) is far from zero, so the Bernoulli border couples
         assert abs(moving_bm1.surface_speed) > 0.5
-        _assert_flat_solver_matches_splu(moving_bm1, BM1, 3.0, nx, ny)
+        _assert_flat_solver_matches_splu(
+            flat_state(moving_bm1, BM1, 3.0, nx, ny), BM1)
 
-    def test_weak_pivot_falls_back_to_splu(self, factorizations):
-        # omega' = b = 1 / (h dq)^2 on h = 1 makes the m = 0 block
-        # indefinite with an exactly zero second Thomas pivot
+    def test_blocks_match_dense_solves_when_indefinite(self):
+        # c = 1 and omega' = ny^2 make T_0 indefinite, with an exactly zero
+        # second pivot under elimination without pivoting
+        nx, ny = 16, 16
+        grid = StripGrid(2.0, nx, ny)
+        blocks = wavesolver._FlatBlocks(grid, 1.0, np.full(ny - 1, ny ** 2.0))
+        rng = np.random.default_rng(ny)
+        rhs = rng.standard_normal((ny - 1, nx // 2 + 1, 2)) @ [1.0, 1j]
+        A = grid.Dqq[1:ny, 1:ny].toarray() + ny ** 2 * np.eye(ny - 1)
+        out = blocks.solve(rhs)
+        for m, lam in enumerate(wavesolver._dxx_symbol(grid)):
+            ref = np.linalg.solve(A + lam * np.eye(ny - 1), rhs[:, m])
+            assert np.max(np.abs(out[:, m] - ref)) <= 1e-12 * np.max(
+                np.abs(ref))
+
+    def test_indefinite_block_matches_splu(self, factorizations):
+        # the flat state of linear b = ny^2 on h = 1: its m = 0 block is
+        # the indefinite one above
         nx, ny, L = 16, 16, 2.0
         dist = LinearVorticity(b=float(ny ** 2))
         T = (np.diag(np.full(ny - 1, -dist.b))
@@ -692,22 +717,19 @@ class TestFlatSolver:
             ([0.0], np.linalg.solve(T, -dist.b * np.eye(ny - 1)[-1]), [1.0]))
         pq_s = (3.0 * col[-1] - 4.0 * col[-2] + col[-3]) * ny / 2.0
         grid = StripGrid(L, nx, ny)
-        psi = np.tile(col, (nx, 1))
-        blocks = wavesolver._flat_psi_blocks(
-            grid, np.ones(ny - 1), np.full(ny - 1, dist.b))
-        assert blocks.weak
-        st_ = WaveState(L, nx, ny, psi, 1.0 + 0.01 * np.cos(math.pi * grid.x),
-                        (pq_s ** 2 + 2.0) / 3.0)
+        flat = WaveState(L, nx, ny, np.tile(col, (nx, 1)), np.ones(nx),
+                         (pq_s ** 2 + 2.0) / 3.0)
+        st_ = dataclasses.replace(flat, eta=_rippled(flat, 0.01))
         res = newton_solve(st_, dist)
-        assert factorizations == {"splu": 1, "flat": 1}
+        assert factorizations == {"splu": 0, "flat": 1}
         assert res.norms.max() <= wavesolver.NEWTON_TOL
-        flat = np.ones(nx)
-        parts = _residual_parts(psi, flat, st_.r, grid, dist)
-        lu = partial(wavesolver._factor,
-                     _assemble_jacobian(psi, flat, parts, grid, dist))
+        _assert_flat_solver_matches_splu(flat, dist)
+        parts = _residual_parts(flat.psi, flat.eta, flat.r, grid, dist)
+        lu = partial(wavesolver._factor, _assemble_jacobian(
+            flat.psi, flat.eta, parts, grid, dist))
         _, eta, _, its, _ = _newton_core(st_.psi, st_.eta, st_.r, grid, dist,
                                          wavesolver.NEWTON_TOL,
                                          wavesolver.MAX_NEWTON_ITER,
                                          reference=lu)
         assert res.iterations == its
-        assert np.array_equal(res.state.eta, eta)
+        assert np.max(np.abs(res.state.eta - eta)) <= 1e-12
