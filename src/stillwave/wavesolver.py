@@ -16,16 +16,19 @@ Laplacian into a variable-coefficient operator
 
 discretized with second-order centered differences in both directions
 (one-sided second-order stencils close the q boundary rows). Newton's
-method with an exact sparse Jacobian drives the coupled system; near-flat
-solves start as chord steps on the flat-state Jacobian, which commutes
-with shifts in x and is solved mode by mode after an rfft in x, through
-one eigendecomposition in q shared by every mode and a Schur step on eta.
-A pinned-amplitude variant releases the Bernoulli constant for
-continuation off a bifurcation point.
+method with an exact sparse Jacobian drives the coupled system, and every
+solve starts as chord steps on one reference Jacobian. Near-flat solves
+use the flat-state Jacobian, which commutes with shifts in x and is
+solved mode by mode after an rfft in x, through one eigendecomposition
+in q shared by every mode and a Schur step on eta. A pinned-amplitude
+variant releases the Bernoulli constant for continuation off a
+bifurcation point and runs its chord steps on one SuperLU factor of the
+bordered Jacobian at its seed.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -44,6 +47,8 @@ from .errors import (InvalidSweepCase, NewtonDiverged, StepFailure,
 from .hypotheses import HypothesisReport, check_hypotheses
 from .stream import StreamSolution, _cauchy_rhs
 from .vorticity import VorticityDistribution
+
+_log = logging.getLogger("stillwave")
 
 __all__ = [
     "StripGrid",
@@ -568,7 +573,8 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
     Otherwise, and when reference raises RuntimeError (an exactly singular
     Jacobian), that same iteration and every later one take the exact
     damped Newton step, so a failed chord trial costs a solve and a
-    residual evaluation, never an iteration.
+    residual evaluation, never an iteration. Both fallbacks are logged at
+    debug level.
     """
     nx, ny = grid.nx, grid.ny
     n_int = nx * (ny - 1)
@@ -604,8 +610,9 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
         if reference is not None:
             try:
                 lu = reference()
-            except RuntimeError:
-                pass  # exactly singular: exact steps only
+            except RuntimeError as exc:
+                _log.debug("singular chord reference (%s): exact steps only",
+                           exc)
             reference = None
         if lu is not None:
             new = trial(lu.solve(-F), 1.0)
@@ -613,6 +620,10 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
                                     or new[-1] <= CHORD_CONTRACTION * norm):
                 psi, eta, r, parts, F, norm = new
                 continue
+            # after = nan: the chord step drove the surface nonpositive
+            _log.debug("chord step rejected at iteration %d: max|F| %.3g -> "
+                       "%.3g; exact steps from here", it, norm,
+                       math.nan if new is None else new[-1])
             lu = None
         J = _assemble_jacobian(psi, eta, parts, grid, dist, pin=pin)
         try:
@@ -849,7 +860,11 @@ def find_bifurcation_points(sol: StreamSolution, dist: VorticityDistribution,
         else:
             # the scan and the scalar path disagree only in roundoff, so
             # sigma vanishes to roundoff at the end nearer zero
-            roots.append(float(ks[i] if abs(lo) <= abs(hi) else ks[i + 1]))
+            node = float(ks[i] if abs(lo) <= abs(hi) else ks[i + 1])
+            _log.debug("sigma changes sign on [%.17g, %.17g] in the scan but "
+                       "not on scalar calls (%.3g, %.3g): root at the node "
+                       "%.17g", ks[i], ks[i + 1], lo, hi, node)
+            roots.append(node)
     return np.unique(roots)
 
 
@@ -861,9 +876,14 @@ def bifurcation_branch(sol: StreamSolution, dist: VorticityDistribution,
     Works on the half-period reflecting grid with the crest elevation
     pinned at h + amplitude and the Bernoulli constant released, which
     removes the horizontal-translation null direction. The seed is the
-    linear mode in mapped coordinates, and Newton gets up to 60
-    iterations. The result is unfolded to the full periodic grid (nx must
-    be even; the half grid has nx/2 + 1 nodes).
+    linear mode in mapped coordinates. Newton gets up to 60 iterations,
+    which start as chord steps on one SuperLU factor of the bordered
+    Jacobian at the seed; a chord step that does not contract hands the
+    solve to exact damped steps (see _newton_core). So one factorization
+    usually serves the whole call, and iterations counts chord steps,
+    which take more iterations than exact Newton to the same tolerance.
+    The result is unfolded to the full periodic grid (nx must be even;
+    the half grid has nx/2 + 1 nodes).
     Raises ValueError unless 0 < k < inf and 0 < amplitude < inf, and
     NewtonDiverged when Newton lands on the raised flat state
     eta = h + amplitude, which also satisfies the pin, instead of a wave.
@@ -899,8 +919,13 @@ def bifurcation_branch(sol: StreamSolution, dist: VorticityDistribution,
     psi[:, -1] = 1.0
 
     r0 = (uy_h ** 2 + 2.0 * h) / 3.0
+    pin = (0, h + amplitude)
+    seed_factor = lambda: _factor(_assemble_jacobian(
+        psi, eta, _residual_parts(psi, eta, r0, grid, dist), grid, dist,
+        pin=pin))
     psi_h, eta_h, r_out, its, _ = _newton_core(
-        psi, eta, r0, grid, dist, NEWTON_TOL, 60, pin=(0, h + amplitude))
+        psi, eta, r0, grid, dist, NEWTON_TOL, 60, pin=pin,
+        reference=seed_factor)
     # the pinned crest alone also admits the raised flat state h + amplitude
     ptp = float(np.ptp(eta_h))
     if ptp < amplitude:

@@ -9,16 +9,21 @@ closed form before being wired into these tests.
 
 import dataclasses
 import json
+import logging
 import math
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stillwave
 from stillwave import cli, wavesolver
 from stillwave.errors import (InvalidSweepCase, NewtonDiverged,
                               StepFailure, SurfaceCollapse)
@@ -326,13 +331,16 @@ class TestNewton:
         with pytest.raises(NewtonDiverged, match="singular"):
             newton_solve(st, B2)
 
-    def test_singular_reference_falls_back_to_exact(self, still_b2):
+    def test_singular_reference_falls_back_to_exact(self, still_b2, caplog):
+        caplog.set_level(logging.DEBUG, logger="stillwave")
         st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
         grid = StripGrid(2.0, 16, 12)
         n = grid.nx * grid.ny
         singular = partial(wavesolver._factor, sp.csc_matrix((n, n)))
         chord = _newton_core(st.psi, st.eta, st.r, grid, B2, 1e-10, 40,
                              reference=singular)
+        assert [r.getMessage().split(" (")[0] for r in caplog.records] == [
+            "singular chord reference"]
         exact = _newton_core(st.psi, st.eta, st.r, grid, B2, 1e-10, 40)
         assert chord[3] == exact[3]
         assert np.array_equal(chord[1], exact[1])
@@ -412,7 +420,7 @@ class TestDispersion:
         assert np.all(np.abs(scan - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
         assert np.array_equal(np.sign(scan), np.sign(ref))
 
-    def test_root_at_a_scan_node(self, monkeypatch):
+    def test_root_at_a_scan_node(self, monkeypatch, caplog):
         # omega' = 2 on [0, 1] gives f = sin(sqrt 2 y) / sqrt 2 at k = 0 and
         # h = pi / sqrt 2, so sigma(0) = -f(h) = 0 and the sign of either
         # path at that node is roundoff. Flipping the scan's sign there
@@ -430,8 +438,12 @@ class TestDispersion:
             return sig
 
         monkeypatch.setattr(wavesolver, "dispersion_sigma", flipped)
+        caplog.set_level(logging.DEBUG, logger="stillwave")
         roots = find_bifurcation_points(sol, hat, 0.0, 5.0, scan_points=21)
         assert roots.tolist() == [0.0]
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().endswith("root at the node 0")
 
     def test_array_keeps_shape_and_scalar_stays_scalar(self, moving_bm1):
         ks = np.array([[0.25, 0.8], [1.5, 3.0]])
@@ -460,6 +472,16 @@ class TestDispersion:
                                     scan_points=scan_points)
 
 
+def _exact_branch(monkeypatch, *args, **kwargs):
+    """bifurcation_branch on exact Newton: its _newton_core gets no
+    reference."""
+    core = wavesolver._newton_core
+    with monkeypatch.context() as m:
+        m.setattr(wavesolver, "_newton_core",
+                  lambda *a, reference=None, **kw: core(*a, **kw))
+        return bifurcation_branch(*args, **kwargs)
+
+
 class TestBifurcationBranch:
     def test_nontrivial_branch(self, moving_bm1):
         res = bifurcation_branch(moving_bm1, BM1, BIFURCATION_K,
@@ -484,6 +506,42 @@ class TestBifurcationBranch:
         with pytest.raises(NewtonDiverged,
                            match="on the 64x32 grid .* flat state"):
             bifurcation_branch(sol, dist, k, amplitude=0.01, nx=64, ny=32)
+
+    @pytest.mark.parametrize("dist, s, amplitude", [
+        (BM1, 0.0, 0.02), (LinearVorticity(b=-1.3), 0.5, 0.01)],
+        ids=["criterion_6", "linear"])
+    def test_factors_once_at_its_seed(self, dist, s, amplitude,
+                                      factorizations, monkeypatch):
+        # criterion 6's flow and a flow from the benchmark's linear band:
+        # every step is a chord step on the seed's bordered Jacobian
+        sol = shear_solution(dist, s)
+        (k,) = find_bifurcation_points(sol, dist)
+        res = bifurcation_branch(sol, dist, k, amplitude=amplitude,
+                                 nx=128, ny=64)
+        assert factorizations == {"splu": 1, "flat": 0}
+        assert res.norms.max() < 1e-9
+        exact = _exact_branch(monkeypatch, sol, dist, k, amplitude=amplitude,
+                              nx=128, ny=64)
+        assert np.max(np.abs(res.state.eta - exact.state.eta)) <= 1e-8
+        assert abs(res.state.r - exact.state.r) <= 1e-8
+
+    def test_rejected_chord_trial_falls_back_to_exact(
+            self, moving_bm1, factorizations, monkeypatch, caplog):
+        # at 64x32 a chord step after the first does not contract 4x; the
+        # first equals exact Newton's, which also starts from the seed
+        caplog.set_level(logging.DEBUG, logger="stillwave")
+        res = bifurcation_branch(moving_bm1, BM1, BIFURCATION_K,
+                                 amplitude=0.02, nx=64, ny=32)
+        (rejected,) = caplog.records
+        it, before, after = rejected.args
+        assert rejected.msg.startswith("chord step rejected")
+        assert it >= 1 and after > wavesolver.CHORD_CONTRACTION * before
+        # the seed factor, then one per exact step from the rejection on
+        assert factorizations == {"splu": 1 + res.iterations - it, "flat": 0}
+        exact = _exact_branch(monkeypatch, moving_bm1, BM1, BIFURCATION_K,
+                              amplitude=0.02, nx=64, ny=32)
+        assert res.iterations == exact.iterations
+        assert np.max(np.abs(res.state.eta - exact.state.eta)) <= 1e-12
 
     @pytest.mark.parametrize("k, amplitude", [
         (0.0, 0.01), (-BIFURCATION_K, 0.01), (math.nan, 0.01),
@@ -553,6 +611,17 @@ class TestSweep:
         with pytest.raises(InvalidSweepCase):
             nonexistence_sweep(still_b2, B2, amplitudes=[-0.01],
                                wavelengths=[2.0], slope_cap=1.0)
+
+
+# random still flows of the four families, in the benchmark's bands
+_STILL_FLOWS = st.one_of(
+    st.builds(ConstantVorticity, b=st.floats(1.1, 3.0)),
+    st.builds(LinearVorticity, b=st.floats(0.5, 3.0)),
+    st.builds(QuadraticTruncatedVorticity, b=st.floats(0.5, 3.0),
+              R=st.floats(1.05, 1.6)),
+    st.builds(lambda v0, v1: TabulatedVorticity(nodes=[0.0, 1.0],
+                                                values=[v0, v1]),
+              st.floats(0.2, 2.0), st.floats(0.2, 2.0)))
 
 
 @pytest.fixture
@@ -625,6 +694,18 @@ class TestChord:
         newton_solve(flat_state(still_b2, B2, 2.0, 16, 12), B2)
         assert factorizations == {"splu": 0, "flat": 0}
 
+    # the counts are shared by every example, and each must leave them 0
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dist=_STILL_FLOWS, L=st.floats(1.5, 8.0),
+           size=st.sampled_from([(32, 16), (64, 32)]))
+    def test_flat_state_is_a_fixed_point(self, dist, L, size, factorizations):
+        flat = flat_state(still_depth_family(dist)[0], dist, L, *size)
+        res = newton_solve(flat, dist)
+        assert res.iterations == 0
+        assert np.array_equal(res.state.eta, flat.eta)
+        assert factorizations == {"splu": 0, "flat": 0}
+
     def test_case_depends_only_on_its_own_inputs(self, still_b2):
         # grouped by wavelength, duplicates included, each entry equals
         # that of a sweep of its case alone
@@ -653,17 +734,6 @@ def _assert_flat_solver_matches_splu(flat, dist):
         ref = lu.solve(b)
         assert np.max(np.abs(solver.solve(b) - ref)) <= 1e-12 * np.max(
             np.abs(ref))
-
-
-# random still flows of the four families, in the benchmark's bands
-_STILL_FLOWS = st.one_of(
-    st.builds(ConstantVorticity, b=st.floats(1.1, 3.0)),
-    st.builds(LinearVorticity, b=st.floats(0.5, 3.0)),
-    st.builds(QuadraticTruncatedVorticity, b=st.floats(0.5, 3.0),
-              R=st.floats(1.05, 1.6)),
-    st.builds(lambda v0, v1: TabulatedVorticity(nodes=[0.0, 1.0],
-                                                values=[v0, v1]),
-              st.floats(0.2, 2.0), st.floats(0.2, 2.0)))
 
 
 class TestFlatSolver:
@@ -733,3 +803,12 @@ class TestFlatSolver:
                                          reference=lu)
         assert res.iterations == its
         assert np.max(np.abs(res.state.eta - eta)) <= 1e-12
+
+
+def test_import_installs_no_log_handler():
+    # a fresh interpreter, since this one's logging is pytest's
+    code = ("import logging, stillwave, stillwave.cli; "
+            "assert not logging.getLogger('stillwave').handlers; "
+            "assert not logging.getLogger().handlers")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   cwd=Path(stillwave.__file__).parents[1])
