@@ -175,21 +175,17 @@ def _resolve_solution(cfg: dict, dist) -> st.StreamSolution:
     return family[member]
 
 
-def _profile_csv(path: str, sol: st.StreamSolution, samples: int = 257) -> None:
-    ys = np.linspace(0.0, sol.depth, samples)
+def _write_csv(path: str, header: list, *columns) -> None:
+    """Write the columns under a header row, each number as its repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["y", "U", "Uy"])
-        for y, u, uy in zip(ys, np.asarray(sol.U(ys)), np.asarray(sol.Uy(ys))):
-            writer.writerow([repr(float(y)), repr(float(u)), repr(float(uy))])
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in zip(*columns))
 
 
-def _surface_csv(path: str, state: ws.WaveState) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "eta"])
-        for x, e in zip(state.x, state.eta):
-            writer.writerow([repr(float(x)), repr(float(e))])
+def _profile_csv(path: str, sol: st.StreamSolution) -> None:
+    ys = np.linspace(0.0, sol.depth, 257)
+    _write_csv(path, ["y", "U", "Uy"], ys, sol.U(ys), sol.Uy(ys))
 
 
 def _cmd_stream(cfg, args, outputs):
@@ -250,7 +246,7 @@ def _cmd_solve(cfg, args, outputs):
         outputs.append(args.state_out)
         report["state_file"] = args.state_out
     if args.csv:
-        _surface_csv(args.csv, res.state)
+        _write_csv(args.csv, ["x", "eta"], res.state.x, res.state.eta)
         outputs.append(args.csv)
     return report, 0
 
@@ -359,10 +355,7 @@ def run(argv=None) -> int:
         _write_manifest(manifest, args.subcommand, cfg, outputs)
         sys.stdout.write(text)
         return code
-    except StillwaveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (StillwaveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -232,17 +232,23 @@ def monotone_interval_lower(dist: VorticityDistribution, s0: float,
     return -math.inf
 
 
-def _validated_member(dist, s, depth, sign, k) -> StreamSolution:
+def _cut(dist, s, depth, branch=None) -> StreamSolution:
+    """The flow of bed slope s cut at depth: its profile integrated to
+    1.1 depth + 1, U_y(depth) and whether that makes the surface still."""
     profile = solve_cauchy(dist, s, 1.1 * depth + 1.0)
-    u_h = float(profile.U(depth))
     uy_h = float(profile.Uy(depth))
+    return StreamSolution(profile=profile, depth=float(depth),
+                          surface_speed=uy_h,
+                          still=abs(uy_h) <= SURFACE_SPEED_TOL, branch=branch)
+
+
+def _validated_member(dist, s, depth, sign, k) -> StreamSolution:
+    sol = _cut(dist, s, depth, (sign, k))
+    u_h = float(sol.U(depth))
     if abs(u_h - 1.0) > SURFACE_VALUE_TOL:
         raise StepFailure(
             f"family member ({sign}, {k}) failed validation: U({depth:.8g}) = {u_h:.12g}")
-    return StreamSolution(profile=profile, depth=float(depth),
-                          surface_speed=uy_h,
-                          still=abs(uy_h) <= SURFACE_SPEED_TOL,
-                          branch=(sign, k))
+    return sol
 
 
 def still_depth_family(dist: VorticityDistribution, k_max: int = 0) -> list:
@@ -313,12 +319,7 @@ def shear_solution(dist: VorticityDistribution, s: float) -> StreamSolution:
             if t > 1e-12 and abs(float(sol.sol(t)[0]) - 1.0) <= 1e-6:
                 candidates.append(float(t))
         if candidates:
-            h = min(candidates)
-            profile = solve_cauchy(dist, s, 1.1 * h + 1.0)
-            uy_h = float(profile.Uy(h))
-            return StreamSolution(profile=profile, depth=h, surface_speed=uy_h,
-                                  still=abs(uy_h) <= SURFACE_SPEED_TOL,
-                                  branch=None)
+            return _cut(dist, s, min(candidates))
         if not sol.success:
             raise StepFailure(f"integrator failed on [0, {Y}]: {sol.message}")
         if sol.t_events[1].size >= 2:

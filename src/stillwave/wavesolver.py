@@ -18,21 +18,20 @@ discretized with second-order centered differences in both directions
 (one-sided second-order stencils close the q boundary rows). Newton's
 method with an exact sparse Jacobian drives the coupled system, and every
 solve starts as chord steps on one reference Jacobian. Near-flat solves
-use the flat-state Jacobian, which commutes with shifts in x and is
-solved mode by mode after an rfft in x, through one eigendecomposition
-in q shared by every mode and a Schur step on eta. A pinned-amplitude
-variant releases the Bernoulli constant for continuation off a
-bifurcation point and runs its chord steps on one SuperLU factor of the
-bordered Jacobian at its seed.
+use the flat-state Jacobian, built from one stream column and the depth
+(_FlatSolver). It commutes with shifts in x and is solved mode by mode
+after an rfft in x, through one eigendecomposition in q shared by every
+mode and a Schur step on eta. A pinned-amplitude variant releases the
+Bernoulli constant for continuation off a bifurcation point and runs its
+chord steps on one SuperLU factor of the bordered Jacobian at its seed.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -402,24 +401,21 @@ def _factor(A):
     return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-# Pointwise coefficients of the Jacobian at one state: the psi-block is
-# K_xx + diag(c_qq) K_qq + diag(c_xq) K_xq + diag(c_q) K_q + diag(wprime)
-# and the eta-block diag(d_eta) E + diag(d_ex) E_x + diag(d_exx) E_xx, all
-# (nx, ny - 1); the Bernoulli rows are diag(bern_psi) S and diag(bern_eta)
-# + diag(bern_ex) Dx, all (nx,).
-_JacobianCoefficients = namedtuple(
-    "_JacobianCoefficients", "c_qq c_xq c_q wprime d_eta d_ex d_exx "
-    "bern_psi bern_eta bern_ex")
-
-
-def _jacobian_coefficients(psi, eta, parts: _ResidualParts, grid: StripGrid,
-                           dist) -> _JacobianCoefficients:
-    """The coefficients of the Jacobian of [pde rows; bernoulli rows] wrt
-    [interior psi; eta] at (psi, eta). The operator is linear in Psi apart
-    from omega(Psi); a pde row depends on eta only through eta, eta_x and
-    eta_xx at its own x node, and d_eta, d_ex and d_exx are the
-    derivatives of c_qq, c_xq and c_q times the Psi terms they scale."""
-    inner = slice(1, grid.ny)
+def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
+                       dist, pin: Optional[tuple] = None):
+    """Jacobian of [pde rows; bernoulli rows] wrt [interior psi; eta], exact
+    and sparse. The psi-block is K_xx + diag(c_qq) K_qq + diag(c_xq) K_xq
+    + diag(c_q) K_q + diag(omega'(Psi)). A pde row depends on eta only
+    through eta, eta_x and eta_xx at its own x node, so the eta-block is
+    diag(d_eta) E + diag(d_ex) E_x + diag(d_exx) E_xx, with d_* the
+    derivatives of c_qq, c_xq and c_q times the Psi terms they scale (E
+    spreads each x node over its interior rows). The Bernoulli rows are
+    diag(bern_psi) S and diag(bern_eta) + diag(bern_ex) Dx. With pin =
+    (index, value) the system is bordered: r joins the unknowns and the
+    equation eta[index] = value joins the rows.
+    """
+    nx, inner = grid.nx, slice(1, grid.ny)
+    K_xx, K_qq, K_xq, K_q, E, E_x, E_xx, S = grid._jacobian_factors
     ex, exx, pq, pqq, pxq = parts.ex, parts.exx, parts.pq, parts.pqq, parts.pxq
     q = grid.q[None, :]
     inv_eta = 1.0 / eta[:, None]
@@ -427,43 +423,27 @@ def _jacobian_coefficients(psi, eta, parts: _ResidualParts, grid: StripGrid,
     metric = 1.0 + (q * ex[:, None]) ** 2
     pq_s = pq[:, grid.ny]
     s2 = (pq_s / eta) ** 2
-    return _JacobianCoefficients(
-        c_qq=(metric * inv_eta ** 2)[:, inner],
-        c_xq=(-2.0 * qe)[:, inner],
-        c_q=(q * (2.0 * (ex[:, None] * inv_eta) ** 2
-                  - exx[:, None] * inv_eta))[:, inner],
-        wprime=np.asarray(dist.derivative(psi[:, inner]), dtype=float),
-        d_eta=(-2.0 * metric * inv_eta ** 3 * pqq
-               + 2.0 * qe * inv_eta * pxq
-               + q * (exx[:, None] - 4.0 * ex[:, None] ** 2 * inv_eta)
-               * inv_eta ** 2 * pq)[:, inner],
-        d_ex=(2.0 * q * qe * inv_eta * pqq - 2.0 * q * inv_eta * pxq
-              + 4.0 * qe * inv_eta * pq)[:, inner],
-        d_exx=(-q * inv_eta * pq)[:, inner],
-        bern_psi=2.0 * (1.0 + ex ** 2) * pq_s / eta ** 2,
-        bern_eta=2.0 - 2.0 * (1.0 + ex ** 2) * s2 / eta,
-        bern_ex=2.0 * ex * s2)
 
+    def diag(coef):  # of a coefficient on the interior nodes
+        return sp.diags(coef[:, inner].ravel())
 
-def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
-                       dist, pin: Optional[tuple] = None):
-    """Jacobian of [pde rows; bernoulli rows] wrt [interior psi; eta], exact
-    and sparse, from the coefficients of _jacobian_coefficients. E spreads
-    each x node over its interior rows (E = I for the Bernoulli rows).
-    With pin = (index, value) the system is bordered: r joins the unknowns
-    and the equation eta[index] = value joins the rows.
-    """
-    nx = grid.nx
-    K_xx, K_qq, K_xq, K_q, E, E_x, E_xx, S = grid._jacobian_factors
-    c = _jacobian_coefficients(psi, eta, parts, grid, dist)
-    J_pp = (K_xx + sp.diags(c.c_qq.ravel()) @ K_qq
-            + sp.diags(c.c_xq.ravel()) @ K_xq + sp.diags(c.c_q.ravel()) @ K_q
-            + sp.diags(c.wprime.ravel()))
+    J_pp = (K_xx + diag(metric * inv_eta ** 2) @ K_qq
+            + diag(-2.0 * qe) @ K_xq
+            + diag(q * (2.0 * (ex[:, None] * inv_eta) ** 2
+                        - exx[:, None] * inv_eta)) @ K_q
+            + sp.diags(np.asarray(dist.derivative(psi[:, inner]),
+                                  dtype=float).ravel()))
     # a diags() product would drop S's entries where pq_s = 0
-    J_bp = S.multiply(c.bern_psi[:, None])
-    J_pe = (sp.diags(c.d_eta.ravel()) @ E + sp.diags(c.d_ex.ravel()) @ E_x
-            + sp.diags(c.d_exx.ravel()) @ E_xx)
-    J_be = sp.diags(c.bern_eta) + sp.diags(c.bern_ex) @ grid.Dx
+    J_bp = S.multiply((2.0 * (1.0 + ex ** 2) * pq_s / eta ** 2)[:, None])
+    J_pe = (diag(-2.0 * metric * inv_eta ** 3 * pqq
+                 + 2.0 * qe * inv_eta * pxq
+                 + q * (exx[:, None] - 4.0 * ex[:, None] ** 2 * inv_eta)
+                 * inv_eta ** 2 * pq) @ E
+            + diag(2.0 * q * qe * inv_eta * pqq - 2.0 * q * inv_eta * pxq
+                   + 4.0 * qe * inv_eta * pq) @ E_x
+            + diag(-q * inv_eta * pq) @ E_xx)
+    J_be = (sp.diags(2.0 - 2.0 * (1.0 + ex ** 2) * s2 / eta)
+            + sp.diags(2.0 * ex * s2) @ grid.Dx)
 
     if pin is None:
         return sp.bmat([[J_pp, J_pe], [J_bp, J_be]], format="csr")
@@ -507,29 +487,43 @@ class _FlatBlocks:
 
 
 class _FlatSolver:
-    """The Jacobian at an x-independent state, solved mode by mode in x.
+    """The Jacobian at the x-independent state of stream column col and
+    depth h, solved mode by mode in x.
 
     That Jacobian commutes with shifts in x (Strang, Stud. Appl. Math. 74,
     1986; Chan, SIAM J. Sci. Stat. Comput. 9, 1988): after an rfft in x,
     mode m holds T_m bordered by the eta column d_eta + lam_m d_exx, the
-    Bernoulli row bern_psi S and the corner bern_eta (the other
-    coefficients vanish with eta_x and eta_xx). The build keeps the blocks
-    (_FlatBlocks), Y_m = T_m^-1 (eta column) and the Schur complements
-    bern_eta - bern_psi S Y_m, and raises RuntimeError when a block is
-    singular or a Schur complement vanishes to roundoff. A solve is an
-    rfft, one block solve, the Schur step and an irfft.
+    Bernoulli row bern_psi S and the corner bern_eta, the coefficients of
+    _assemble_jacobian that survive eta_x = eta_xx = Psi_x = 0. They are
+    built from Psi_q = Dq col and Psi_qq = Dqq col in that function's order
+    of operations, on numpy arrays (whose powers round unlike Python's),
+    so each is bit-identical to the assembly's at the tiled state. The
+    build keeps the blocks (_FlatBlocks), Y_m = T_m^-1 (eta column) and
+    the Schur complements bern_eta - bern_psi S Y_m, and raises
+    RuntimeError when a block is singular or a Schur complement vanishes
+    to roundoff. A solve is an rfft, one block solve, the Schur step and
+    an irfft.
     """
 
-    def __init__(self, coef: _JacobianCoefficients, grid: StripGrid):
+    def __init__(self, col, h, grid: StripGrid, dist):
         self.nx = grid.nx
-        self.blocks = _FlatBlocks(grid, coef.c_qq[0, 0], coef.wprime[0])
-        self.border = coef.bern_psi[0] * grid.Dq[-1, 1:grid.ny].toarray()[0]
-        column = (coef.d_eta[0][:, None]
-                  + coef.d_exx[0][:, None] * _dxx_symbol(grid))
+        inner = slice(1, grid.ny)
+        q = grid.q[inner]
+        pq, pqq = grid.Dq @ col, grid.Dqq @ col
+        pq_s = pq[grid.ny]
+        eta = np.full(1, h)
+        inv_eta = 1.0 / eta
+        self.blocks = _FlatBlocks(grid, inv_eta ** 2, np.asarray(
+            dist.derivative(col[inner]), dtype=float))
+        bern_psi = 2.0 * pq_s / eta ** 2
+        bern_eta = 2.0 - 2.0 * (pq_s / eta) ** 2 / eta
+        self.border = bern_psi * grid.Dq[-1, inner].toarray()[0]
+        column = ((-2.0 * inv_eta ** 3 * pqq[inner])[:, None]
+                  + (-q * inv_eta * pq[inner])[:, None] * _dxx_symbol(grid))
         self.Y = self.blocks.solve(column)
-        self.schur = coef.bern_eta[0] - self.border @ self.Y
+        self.schur = bern_eta - self.border @ self.Y
         if not np.all(np.abs(self.schur)
-                      > np.finfo(float).eps * abs(coef.bern_eta[0])):
+                      > np.finfo(float).eps * np.abs(bern_eta)):
             raise RuntimeError("flat Jacobian is singular: a Schur "
                                "complement vanishes")
 
@@ -546,14 +540,6 @@ class _FlatSolver:
         return np.concatenate([out[:-1].T.ravel(), out[-1]])
 
 
-def _flat_reference(psi, eta, grid: StripGrid, dist):
-    """The Fourier-block solver of the Jacobian at the x-independent state
-    (psi, eta). Raises RuntimeError when that Jacobian is singular."""
-    parts = _residual_parts(psi, eta, 0.0, grid, dist)
-    return _FlatSolver(_jacobian_coefficients(psi, eta, parts, grid, dist),
-                       grid)
-
-
 def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
                  pin: Optional[tuple] = None,
                  reference: Optional[Callable] = None):
@@ -564,10 +550,10 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
     Bernoulli constant r is released and eta[pin0] = pin1 is enforced.
 
     reference, when given, is called before the first step for a solver
-    (an object with solve, such as _flat_reference's Fourier blocks or a
-    SuperLU factor) of a Jacobian near the solution, and the iteration
-    starts as the chord method on it (Kelley, Iterative Methods for Linear
-    and Nonlinear Equations, SIAM 1995, ch. 5): dz = -lu.solve(F), full
+    (an object with solve: a _FlatSolver or a SuperLU factor) of a
+    Jacobian near the solution, and the iteration starts as the chord
+    method on it (Kelley, Iterative Methods for Linear and Nonlinear
+    Equations, SIAM 1995, ch. 5): dz = -lu.solve(F), full
     steps only. A chord step is accepted when it keeps the surface
     positive and reaches tol or contracts max|F| by CHORD_CONTRACTION.
     Otherwise, and when reference raises RuntimeError (an exactly singular
@@ -666,15 +652,15 @@ def newton_solve(state: WaveState, dist: VorticityDistribution,
     The Bernoulli constant r is held fixed at state.r. The steps start as
     chord steps on the Jacobian at the x-average of the initial state,
     which for a perturbed_state is the flat state to roundoff. That
-    Jacobian is solved through its Fourier blocks (_flat_reference, with
-    no sparse factorization), built only if a step is needed, and a chord
-    step that does not contract hands the solve to exact Newton (see
-    _newton_core). Raises NewtonDiverged or SurfaceCollapse on failure.
+    Jacobian is solved through its Fourier blocks (a _FlatSolver of the
+    mean column and mean depth, with no sparse factorization), built only
+    if a step is needed, and a chord step that does not contract hands
+    the solve to exact Newton (see _newton_core). Raises NewtonDiverged
+    or SurfaceCollapse on failure.
     """
     grid = StripGrid(state.period_L, state.nx, state.ny, "periodic")
-    reference = partial(
-        _flat_reference, np.tile(state.psi.mean(axis=0), (state.nx, 1)),
-        np.full(state.nx, state.eta.mean()), grid, dist)
+    reference = partial(_FlatSolver, state.psi.mean(axis=0),
+                        state.eta.mean(), grid, dist)
     psi, eta, r, its, parts = _newton_core(
         state.psi, state.eta, state.r, grid, dist, tol, max_iter,
         reference=reference)
@@ -699,12 +685,14 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
     before any solve.
 
     One loop runs over the distinct wavelengths. For each it builds the
-    grid, the flat state and the Fourier-block solver of the flat-state
-    Jacobian once (_flat_reference, with no sparse factorization), and
-    solves every distinct amplitude by chord Newton on it (exact Newton
-    where a chord step does not contract or the Jacobian is singular; see
-    _newton_core). Entries come back in sorted (amplitude, wavelength)
-    order, duplicates included.
+    grid and the flat state, and solves every distinct amplitude by chord
+    Newton on the Fourier-block solver of the flat-state Jacobian
+    (_FlatSolver of the flat column and h, no sparse factorization),
+    built on the first case that takes a step (exact Newton where a chord
+    step does not contract or the Jacobian is singular; see _newton_core).
+    The cache keeps no exception, so a singular build is retried, and
+    logged, on each case. Entries come back in sorted (amplitude,
+    wavelength) order, duplicates included.
     """
     if not 0.0 < flat_tol < math.inf:
         raise ValueError(
@@ -730,11 +718,7 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
     for L in dict.fromkeys(L for _, L in cases):
         grid = StripGrid(L, nx, ny, "periodic")
         flat = flat_state(sol, dist, L, nx, ny)
-        try:
-            solver = _flat_reference(flat.psi, flat.eta, grid, dist)
-            reference = lambda: solver
-        except RuntimeError:
-            reference = None  # exactly singular: exact steps only
+        reference = cache(partial(_FlatSolver, flat.psi[0], h, grid, dist))
         for a in dict.fromkeys(a for a, _ in cases):
             entry = {"amplitude": a, "wavelength": L,
                      "converged_to_flat": False, "final_max_zeta": math.nan,

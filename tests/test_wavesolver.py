@@ -34,8 +34,7 @@ from stillwave.vorticity import (ConstantVorticity, LinearVorticity,
 from stillwave.wavesolver import (StripGrid, WaveState,
                                   VERDICT_CONSISTENT,
                                   VERDICT_NOT_APPLICABLE,
-                                  _assemble_jacobian,
-                                  _jacobian_coefficients, _newton_core,
+                                  _assemble_jacobian, _newton_core,
                                   _residual_parts, _residual_vec, _rippled,
                                   bifurcation_branch, dispersion_mode,
                                   dispersion_sigma, find_bifurcation_points,
@@ -292,6 +291,10 @@ class TestJacobian:
         assert peak < 8.0 * csr_bytes
 
 
+def _singular_flat_solver(*args):
+    raise RuntimeError("flat Jacobian is singular")
+
+
 class TestNewton:
     def test_small_ripple_flattens(self, still_b2):
         st = perturbed_state(still_b2, B2, 2.0, 32, 16, amplitude=0.01)
@@ -317,16 +320,10 @@ class TestNewton:
             n = grid.nx * grid.ny
             return sp.csr_matrix((n, n))
 
-        def zero_coefficients(*args):
-            coef = _jacobian_coefficients(*args)
-            return type(coef)(*map(np.zeros_like, coef))
-
-        # the flat reference reads the coefficients: with all of them zero
-        # its m = 0 block is zero, so the reference raises and the solve
-        # takes exact steps on the zero Jacobian, whose SuperLU factor fails
+        # the flat reference raises, so the solve takes exact steps on the
+        # zero Jacobian, whose SuperLU factor fails
         monkeypatch.setattr(wavesolver, "_assemble_jacobian", zero_jacobian)
-        monkeypatch.setattr(wavesolver, "_jacobian_coefficients",
-                            zero_coefficients)
+        monkeypatch.setattr(wavesolver, "_FlatSolver", _singular_flat_solver)
         st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
         with pytest.raises(NewtonDiverged, match="singular"):
             newton_solve(st, B2)
@@ -346,15 +343,12 @@ class TestNewton:
         assert np.array_equal(chord[1], exact[1])
 
     def test_singular_flat_solver_falls_back_to_exact(self, still_b2):
-        # a zero Bernoulli border makes every Schur complement zero
-        st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
-        flat = flat_state(still_b2, B2, 2.0, 16, 12)
-        grid = StripGrid(2.0, 16, 12)
-        parts = _residual_parts(flat.psi, flat.eta, flat.r, grid, B2)
-        coef = _jacobian_coefficients(flat.psi, flat.eta, parts, grid, B2)
-        coef = coef._replace(bern_psi=0.0 * coef.bern_psi,
-                             bern_eta=0.0 * coef.bern_eta)
-        singular = partial(wavesolver._FlatSolver, coef, grid)
+        # Psi = q on h = 1: Psi_q(1) = 1 and Psi_qq = 0 exactly at ny = 16,
+        # so bern_eta = 0, the m = 0 eta column is 0 and the m = 0 Schur
+        # complement is exactly 0 (at ny = 12 roundoff leaves 5.5e-15)
+        st = perturbed_state(still_b2, B2, 2.0, 16, 16, amplitude=0.01)
+        grid = StripGrid(2.0, 16, 16)
+        singular = partial(wavesolver._FlatSolver, grid.q, 1.0, grid, B2)
         with pytest.raises(RuntimeError, match="singular"):
             singular()
         chord = _newton_core(st.psi, st.eta, st.r, grid, B2, 1e-10, 40,
@@ -638,8 +632,8 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(wavesolver, "splu",
                         counting("splu", wavesolver.splu))
-    monkeypatch.setattr(wavesolver, "_flat_reference",
-                        counting("flat", wavesolver._flat_reference))
+    monkeypatch.setattr(wavesolver, "_FlatSolver",
+                        counting("flat", wavesolver._FlatSolver))
     return count
 
 
@@ -719,14 +713,34 @@ class TestChord:
                                        [c["wavelength"]], **kw)
             assert alone.cases == [c]
 
+    def test_sweep_singular_reference_is_logged_per_case(
+            self, still_b2, monkeypatch, caplog):
+        # functools.cache keeps no exception, so every case of the
+        # wavelength retries the build, logs it and takes exact steps
+        caplog.set_level(logging.DEBUG, logger="stillwave")
+        monkeypatch.setattr(wavesolver, "_FlatSolver", _singular_flat_solver)
+        amps, L, nx, ny = [0.01, 0.02], 2.0, 32, 16
+        rep = nonexistence_sweep(still_b2, B2, amps, [L], slope_cap=1.0,
+                                 nx=nx, ny=ny)
+        assert [r.getMessage().split(" (")[0] for r in caplog.records] == [
+            "singular chord reference"] * len(amps)
+        flat = flat_state(still_b2, B2, L, nx, ny)
+        for a, case in zip(amps, rep.cases):
+            _, eta, _, its, _ = _newton_core(
+                flat.psi, _rippled(flat, a), flat.r, StripGrid(L, nx, ny),
+                B2, wavesolver.NEWTON_TOL, wavesolver.MAX_NEWTON_ITER)
+            assert case["error"] is None
+            assert case["newton_iterations"] == its
+            assert case["final_max_zeta"] == float(
+                np.max(np.abs(still_b2.depth - eta)))
+
 
 def _assert_flat_solver_matches_splu(flat, dist):
     """The Fourier-block solver of the Jacobian at the flat state against
     the SuperLU factor of its sparse assembly, on random right-hand sides."""
     nx, ny = flat.nx, flat.ny
     grid = StripGrid(flat.period_L, nx, ny)
-    solver = wavesolver._flat_reference(flat.psi, flat.eta, grid, dist)
-    assert isinstance(solver, wavesolver._FlatSolver)
+    solver = wavesolver._FlatSolver(flat.psi[0], flat.eta[0], grid, dist)
     parts = _residual_parts(flat.psi, flat.eta, flat.r, grid, dist)
     lu = wavesolver._factor(
         _assemble_jacobian(flat.psi, flat.eta, parts, grid, dist))
