@@ -188,8 +188,7 @@ def _profile_csv(path: str, sol: st.StreamSolution) -> None:
     _write_csv(path, ["y", "U", "Uy"], ys, sol.U(ys), sol.Uy(ys))
 
 
-def _cmd_stream(cfg, args, outputs):
-    dist = make_distribution(cfg["vorticity"])
+def _cmd_stream(cfg, dist, args, outputs):
     report, members = _family_summary(dist, _count(cfg, "k_max", 0, least=0))
     if "s" in cfg:
         s = _number(cfg, "s", 0.0)
@@ -209,21 +208,18 @@ def _cmd_stream(cfg, args, outputs):
     return report, 0
 
 
-def _cmd_depths(cfg, args, outputs):
-    dist = make_distribution(cfg["vorticity"])
+def _cmd_depths(cfg, dist, args, outputs):
     return _family_summary(dist, _count(cfg, "k_max", 0, least=0))[0], 0
 
 
-def _cmd_check(cfg, args, outputs):
+def _cmd_check(cfg, dist, args, outputs):
     from .hypotheses import check_hypotheses
-    dist = make_distribution(cfg["vorticity"])
     sol = _resolve_solution(cfg, dist)
     report = check_hypotheses(dist, sol, _number(cfg, "slope_bound", 1.0))
     return report, 0 if report.applicable else 2
 
 
-def _cmd_solve(cfg, args, outputs):
-    dist = make_distribution(cfg["vorticity"])
+def _cmd_solve(cfg, dist, args, outputs):
     sol = _resolve_solution(cfg, dist)
     period_L = _number(cfg, "period_L", 2.0)
     nx = _count(cfg, "nx", 64, least=4)
@@ -251,8 +247,7 @@ def _cmd_solve(cfg, args, outputs):
     return report, 0
 
 
-def _cmd_sweep(cfg, args, outputs):
-    dist = make_distribution(cfg["vorticity"])
+def _cmd_sweep(cfg, dist, args, outputs):
     sol = _resolve_solution(cfg, dist)
     for key in ("amplitudes", "wavelengths"):
         _number_list(cfg, key, "sweep")
@@ -267,7 +262,7 @@ def _cmd_sweep(cfg, args, outputs):
     return rep, code
 
 
-def _cmd_dispersion(cfg, args, outputs):
+def _cmd_dispersion(cfg, dist, args, outputs):
     k_lo = _number(cfg, "k_min", 0.0)
     k_hi = _number(cfg, "k_max_scan", 5.0)
     if not k_lo < k_hi:
@@ -279,7 +274,6 @@ def _cmd_dispersion(cfg, args, outputs):
         ks = _number_list(cfg, "k_values", "dispersion")
     else:
         ks = np.linspace(k_lo, k_hi, _count(cfg, "samples", 21, least=1))
-    dist = make_distribution(cfg["vorticity"])
     sol = _resolve_solution(cfg, dist)
     sigma = [{"k": float(k), "sigma": float(v)}
              for k, v in zip(ks, ws.dispersion_sigma(sol, dist, ks))]
@@ -290,8 +284,7 @@ def _cmd_dispersion(cfg, args, outputs):
             "roots": [float(r) for r in roots]}, 0
 
 
-def _cmd_diagnose(cfg, args, outputs):
-    dist = make_distribution(cfg["vorticity"])
+def _cmd_diagnose(cfg, dist, args, outputs):
     sol = _resolve_solution(cfg, dist)
     state_file = args.state or cfg.get("state_file")
     if not (state_file and isinstance(state_file, str)):
@@ -350,7 +343,8 @@ def run(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         outputs = [out]
-        report, code = _HANDLERS[args.subcommand](cfg, args, outputs)
+        report, code = _HANDLERS[args.subcommand](
+            cfg, make_distribution(cfg["vorticity"]), args, outputs)
         text = _write_json(out, report)
         _write_manifest(manifest, args.subcommand, cfg, outputs)
         sys.stdout.write(text)

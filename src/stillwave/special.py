@@ -19,8 +19,8 @@ kind in the modular-angle convention,
 
     F(phi \\ alpha) = int_0^phi dtheta / sqrt(1 - sin^2(alpha) sin^2(theta)),
 
-computed by descending Landen transformation on the arithmetic-geometric
-mean, which converges quadratically. Angles are radians.
+which is scipy's ellipkinc at the parameter m = sin^2(alpha). Angles are
+radians.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import ellipkinc
 
 from .errors import NonIntegrable, OutOfDomain
 
@@ -73,15 +74,12 @@ def _half_integral(f, a, b, expo, other_expo, span, tol, from_left):
     p = 1.0 / (1.0 + expo)
     smax = span ** (1.0 + expo)
     width = b - a
+    # end + (-1.0) * step rounds exactly as end - step
+    end, sign = (a, 1.0) if from_left else (b, -1.0)
 
-    if from_left:
-        def g(sigma):
-            step = sigma ** p
-            return p * f(a + step) * (width - step) ** other_expo
-    else:
-        def g(sigma):
-            step = sigma ** p
-            return p * f(b - step) * (width - step) ** other_expo
+    def g(sigma):
+        step = sigma ** p
+        return p * f(end + sign * step) * (width - step) ** other_expo
 
     _check_endpoint_growth(g, smax, p)
     with warnings.catch_warnings():
@@ -140,34 +138,17 @@ def singular_quadrature(spec: SingularIntegrandSpec, a: float,
 
 
 def elliptic_F(phi: float, alpha: float) -> float:
-    """Incomplete elliptic integral of the first kind, modular angle form.
+    """Incomplete elliptic integral of the first kind, modular angle form:
+    ellipkinc(phi, sin(alpha)^2).
 
-    phi in [0, pi/2], alpha in [0, pi/2), both in radians. Accurate to
-    about 1e-15 relative; the AGM doubles the correct digits per step.
+    phi in [0, pi/2], alpha in [0, pi/2), both in radians.
     """
     if not (0.0 <= phi <= math.pi / 2.0 + 1e-15):
         raise OutOfDomain(f"phi must lie in [0, pi/2], got {phi}")
     if not (0.0 <= alpha < math.pi / 2.0):
         raise OutOfDomain(f"alpha must lie in [0, pi/2), got {alpha}")
-    if phi == 0.0:
-        return 0.0
-    if alpha == 0.0:
-        return phi
     if phi < 1e-8:
-        # F = phi + sin(alpha)^2 phi^3 / 6 + O(phi^5); the Landen step
-        # below would underflow g * sin(p) to zero for subnormal phi
+        # F = phi + sin(alpha)^2 phi^3 / 6 + O(phi^5); ellipkinc rounds a
+        # subnormal phi to less than phi
         return phi * (1.0 + math.sin(alpha) ** 2 * phi * phi / 6.0)
-
-    a, g = 1.0, math.cos(alpha)
-    p = phi
-    doublings = 0
-    while abs(a - g) > 1e-16 * a:
-        # Landen step: the angle roughly doubles while [g, a] contracts
-        t = math.atan2(g * math.sin(p), a * math.cos(p))
-        k = round((p - t) / math.pi)
-        p = p + t + k * math.pi
-        a, g = 0.5 * (a + g), math.sqrt(a * g)
-        doublings += 1
-        if doublings > 64:
-            break
-    return p / (2 ** doublings * a)
+    return float(ellipkinc(phi, math.sin(alpha) ** 2))

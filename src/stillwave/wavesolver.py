@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
@@ -453,30 +453,27 @@ def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
                     [None, pin_row, None]], format="csr")
 
 
-def _dxx_symbol(grid: StripGrid) -> np.ndarray:
-    """Eigenvalues of the periodic Dxx on the rfft modes m = 0 .. nx//2."""
-    m = np.arange(grid.nx // 2 + 1)
-    return -(2.0 - 2.0 * np.cos(2.0 * math.pi * m / grid.nx)) / grid.dx ** 2
-
-
 class _FlatBlocks:
     """The blocks T_m = A + lam_m I of the psi-block at an x-independent
-    state, one per rfft mode m = 0 .. nx//2 (lam_m: the symbol of Dxx),
-    with A = c Dqq + diag(wprime) on the interior q nodes. c_qq = c is the
-    same on every node of such a state, so A is symmetric tridiagonal and
-    one eigendecomposition A = V diag(mu) V^T diagonalises every block
-    (the fast diagonalisation of Lynch, Rice & Thomas, Numer. Math. 6,
-    1964): T_m^-1 = V diag(1 / (mu + lam_m)) V^T, with no pivots. Raises
-    RuntimeError when some mu_i + lam_m vanishes to roundoff."""
+    state, one per rfft mode m = 0 .. nx//2 (lam, the symbol of Dxx: its
+    eigenvalues on those modes), with A = c Dqq + diag(wprime) on the
+    interior q nodes. c_qq = c is the same on every node of such a state,
+    so A is symmetric tridiagonal and one eigendecomposition A = V diag(mu)
+    V^T diagonalises every block (the fast diagonalisation of Lynch, Rice &
+    Thomas, Numer. Math. 6, 1964): T_m^-1 = V diag(1 / (mu + lam_m)) V^T,
+    with no pivots. Raises RuntimeError when some mu_i + lam_m vanishes to
+    roundoff."""
 
     def __init__(self, grid: StripGrid, c: float, wprime):
         Dqq = grid.Dqq[1:grid.ny, 1:grid.ny]
         mu, self.V = eigh_tridiagonal(c * Dqq.diagonal() + wprime,
                                       c * Dqq.diagonal(1))
-        lam = _dxx_symbol(grid)
-        self.denom = mu[:, None] + lam
+        m = np.arange(grid.nx // 2 + 1)
+        self.lam = (-(2.0 - 2.0 * np.cos(2.0 * math.pi * m / grid.nx))
+                    / grid.dx ** 2)
+        self.denom = mu[:, None] + self.lam
         if np.any(np.abs(self.denom) <= np.finfo(float).eps
-                  * (np.max(np.abs(mu)) + np.abs(lam))):
+                  * (np.max(np.abs(mu)) + np.abs(self.lam))):
             raise RuntimeError("flat Jacobian is singular: a Fourier block "
                                "is singular")
 
@@ -519,7 +516,7 @@ class _FlatSolver:
         bern_eta = 2.0 - 2.0 * (pq_s / eta) ** 2 / eta
         self.border = bern_psi * grid.Dq[-1, inner].toarray()[0]
         column = ((-2.0 * inv_eta ** 3 * pqq[inner])[:, None]
-                  + (-q * inv_eta * pq[inner])[:, None] * _dxx_symbol(grid))
+                  + (-q * inv_eta * pq[inner])[:, None] * self.blocks.lam)
         self.Y = self.blocks.solve(column)
         self.schur = bern_eta - self.border @ self.Y
         if not np.all(np.abs(self.schur)
@@ -680,12 +677,13 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
     Every case must respect the slope cap (2 pi a / L as proxy for the
     seeded surface slope) and the amplitude cap (default a tenth of the
     depth); a violating case raises InvalidSweepCase rather than running
-    an experiment outside the hypothesis regime. flat_tol must be a
-    positive finite number (ValueError otherwise). Both are checked
-    before any solve.
+    an experiment outside the hypothesis regime, and so does an empty
+    amplitudes or wavelengths list. flat_tol must be a positive finite
+    number (ValueError otherwise). All are checked before any solve.
 
-    One loop runs over the distinct wavelengths. For each it builds the
-    grid and the flat state, and solves every distinct amplitude by chord
+    The flat state is built once, since only its period depends on the
+    wavelength. One loop runs over the distinct wavelengths. For each it
+    builds the grid and solves every distinct amplitude by chord
     Newton on the Fourier-block solver of the flat-state Jacobian
     (_FlatSolver of the flat column and h, no sparse factorization),
     built on the first case that takes a step (exact Newton where a chord
@@ -702,6 +700,9 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
         amplitude_cap = 0.1 * h
     cases = [(float(a), float(L)) for a in sorted(amplitudes)
              for L in sorted(wavelengths)]
+    if not cases:
+        raise InvalidSweepCase("amplitudes and wavelengths must each hold "
+                               "at least one value")
     for a, L in cases:
         if a <= 0 or L <= 0:
             raise InvalidSweepCase(f"case (a={a}, L={L}): must be positive")
@@ -715,9 +716,10 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
 
     report = check_hypotheses(dist, sol, slope_cap)
     solved = {}
+    flat = flat_state(sol, dist, cases[0][1], nx, ny)
     for L in dict.fromkeys(L for _, L in cases):
         grid = StripGrid(L, nx, ny, "periodic")
-        flat = flat_state(sol, dist, L, nx, ny)
+        flat = replace(flat, period_L=L)
         reference = cache(partial(_FlatSolver, flat.psi[0], h, grid, dist))
         for a in dict.fromkeys(a for a, _ in cases):
             entry = {"amplitude": a, "wavelength": L,
@@ -821,11 +823,12 @@ def find_bifurcation_points(sol: StreamSolution, dist: VorticityDistribution,
 
     One dispersion_sigma call evaluates the functional at scan_points
     equispaced wavenumbers; each sign change brackets a root, which brentq
-    polishes to 1e-12 on scalar calls. Where the scalar path gives both
-    ends of a bracket one sign, sigma vanishes to roundoff at one of them,
-    and that node is reported. For still flows the functional is negative
-    throughout and the result is empty. Raises ValueError unless k_min <
-    k_max are finite and scan_points >= 2.
+    polishes to 1e-12 on scalar calls, starting from its own evaluation
+    of both ends. Where the scalar path gives both ends of a bracket one
+    sign (brentq raises ValueError), sigma vanishes to roundoff at one of
+    them, and that node is reported. For still flows the functional is
+    negative throughout and the result is empty. Raises ValueError unless
+    k_min < k_max are finite and scan_points >= 2.
     """
     if not (math.isfinite(k_min) and math.isfinite(k_max) and k_min < k_max):
         raise ValueError(
@@ -838,12 +841,12 @@ def find_bifurcation_points(sol: StreamSolution, dist: VorticityDistribution,
     sig = dispersion_sigma(sol, dist, ks)
     roots = [float(ks[i]) for i in np.flatnonzero(sig == 0.0)]
     for i in np.flatnonzero(np.sign(sig[:-1]) * np.sign(sig[1:]) < 0):
-        lo, hi = sigma(ks[i]), sigma(ks[i + 1])
-        if lo * hi < 0:
+        try:
             roots.append(brentq(sigma, ks[i], ks[i + 1], xtol=1e-12))
-        else:
+        except ValueError:
             # the scan and the scalar path disagree only in roundoff, so
             # sigma vanishes to roundoff at the end nearer zero
+            lo, hi = sigma(ks[i]), sigma(ks[i + 1])
             node = float(ks[i] if abs(lo) <= abs(hi) else ks[i + 1])
             _log.debug("sigma changes sign on [%.17g, %.17g] in the scan but "
                        "not on scalar calls (%.3g, %.3g): root at the node "

@@ -456,6 +456,25 @@ class TestDispersion:
             with pytest.raises(ValueError, match="finite"):
                 dispersion_mode(moving_bm1, BM1, k)
 
+    def test_each_bracket_end_is_evaluated_once(self, moving_bm1,
+                                                monkeypatch):
+        # brentq evaluates both ends of the bracket itself; nothing else
+        # evaluates them on the scalar path
+        scalar_ks = []
+        sigma = wavesolver.dispersion_sigma
+
+        def recording(sol, dist, k):
+            if np.ndim(k) == 0:
+                scalar_ks.append(float(k))
+            return sigma(sol, dist, k)
+
+        monkeypatch.setattr(wavesolver, "dispersion_sigma", recording)
+        (root,) = find_bifurcation_points(moving_bm1, BM1, 0.0, 5.0)
+        ks = np.linspace(0.0, 5.0, 201)
+        lo, hi = ks[ks < root].max(), ks[ks > root].min()
+        assert scalar_ks.count(lo) == 1
+        assert scalar_ks.count(hi) == 1
+
     @pytest.mark.parametrize("k_min, k_max, scan_points", [
         (0.0, 5.0, 1), (0.0, 5.0, 0), (2.0, 2.0, 11), (3.0, 1.0, 11),
         (0.0, math.inf, 11), (math.nan, 5.0, 11),
@@ -595,6 +614,10 @@ class TestSweep:
                 nonexistence_sweep(still_b2, B2, amplitudes=[0.01],
                                    wavelengths=[2.0], slope_cap=1.0,
                                    flat_tol=flat_tol)
+        # zero cases would otherwise read as a consistent verdict
+        for amps, waves in (([], [2.0]), ([0.01], []), ([], [])):
+            with pytest.raises(InvalidSweepCase, match="at least one"):
+                nonexistence_sweep(still_b2, B2, amps, waves, slope_cap=1.0)
         assert factorizations == {"splu": 0, "flat": 0}
         with pytest.raises(InvalidSweepCase):
             nonexistence_sweep(still_b2, B2, amplitudes=[0.2],
@@ -605,6 +628,23 @@ class TestSweep:
         with pytest.raises(InvalidSweepCase):
             nonexistence_sweep(still_b2, B2, amplitudes=[-0.01],
                                wavelengths=[2.0], slope_cap=1.0)
+
+    def test_flat_column_is_polished_once_per_sweep(self, still_b2,
+                                                    monkeypatch):
+        calls = []
+        polish = wavesolver._polish_flat_column
+
+        def counted(*args):
+            calls.append(args)
+            return polish(*args)
+
+        monkeypatch.setattr(wavesolver, "_polish_flat_column", counted)
+        rep = nonexistence_sweep(still_b2, B2, amplitudes=[0.01],
+                                 wavelengths=[4.0, 2.0], slope_cap=1.0,
+                                 nx=32, ny=16)
+        assert len(calls) == 1
+        assert [c["wavelength"] for c in rep.cases] == [2.0, 4.0]
+        assert rep.verdict == VERDICT_CONSISTENT
 
 
 # random still flows of the four families, in the benchmark's bands
@@ -785,7 +825,11 @@ class TestFlatSolver:
         rhs = rng.standard_normal((ny - 1, nx // 2 + 1, 2)) @ [1.0, 1j]
         A = grid.Dqq[1:ny, 1:ny].toarray() + ny ** 2 * np.eye(ny - 1)
         out = blocks.solve(rhs)
-        for m, lam in enumerate(wavesolver._dxx_symbol(grid)):
+        for m, lam in enumerate(blocks.lam):
+            # lam_m is the eigenvalue of the periodic Dxx on mode m
+            mode = np.cos(2.0 * math.pi * m * np.arange(nx) / nx)
+            assert np.allclose(grid.Dxx @ mode, lam * mode, rtol=0.0,
+                               atol=1e-10)
             ref = np.linalg.solve(A + lam * np.eye(ny - 1), rhs[:, m])
             assert np.max(np.abs(out[:, m] - ref)) <= 1e-12 * np.max(
                 np.abs(ref))
