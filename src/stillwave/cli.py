@@ -274,11 +274,13 @@ def _cmd_dispersion(cfg, dist, args, outputs):
         ks = _number_list(cfg, "k_values", "dispersion")
     else:
         ks = np.linspace(k_lo, k_hi, _count(cfg, "samples", 21, least=1))
+    scan = np.linspace(k_lo, k_hi, scan_points)
     sol = _resolve_solution(cfg, dist)
-    sigma = [{"k": float(k), "sigma": float(v)}
-             for k, v in zip(ks, ws.dispersion_sigma(sol, dist, ks))]
-    roots = ws.find_bifurcation_points(sol, dist, k_lo, k_hi,
-                                       scan_points=scan_points)
+    # one integration serves the samples and the root scan
+    sig, scan_sig = np.split(
+        ws.dispersion_sigma(sol, dist, np.concatenate((ks, scan))), [len(ks)])
+    sigma = [{"k": float(k), "sigma": float(v)} for k, v in zip(ks, sig)]
+    roots = ws._polished_roots(sol, dist, scan, scan_sig)
     return {"h": sol.depth, "surface_speed": sol.surface_speed,
             "still": sol.still, "sigma": sigma,
             "roots": [float(r) for r in roots]}, 0

@@ -302,14 +302,17 @@ def shear_solution(dist: VorticityDistribution, s: float) -> StreamSolution:
     """First depth at which the flow with bed slope s takes the value 1.
 
     Works for both transversal crossings (moving surface) and tangential
-    arrivals (still surface). The search runs to y = 10, then 100, then
-    1000. Raises ValueError when the flow provably oscillates below 1 or
+    arrivals (still surface). The search runs toward y = 10, then 100,
+    then 1000, and stops at the first crossing of 1: the steps up to it,
+    and so every tangential arrival before it, are those of the full run.
+    Raises ValueError when the flow provably oscillates below 1 or
     exhausts the search limit, and StepFailure when the integrator fails
     before the flow reaches 1.
     """
 
     def reach(y, st):
         return st[0] - 1.0
+    reach.terminal = True
 
     for Y in (10.0, 100.0, 1000.0):
         sol = _integrate(dist, s, Y, dense_output=True,

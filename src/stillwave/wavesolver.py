@@ -816,43 +816,92 @@ def dispersion_mode(sol: StreamSolution, dist: VorticityDistribution,
     return f, sol.depth
 
 
+# Chebyshev-Lobatto points cos(pi j / 8), from +1 down to -1
+_LOBATTO = np.cos(np.pi * np.arange(9) / 8)
+# values at _LOBATTO -> Chebyshev coefficients of their degree-8
+# interpolant: the type-I discrete cosine transform, with the end terms
+# halved in both indices. It is a matrix product, so the polish calls no
+# LAPACK routine (chebfit's lstsq and chebroots' eigvals would add their
+# pages to a run's peak RSS).
+_TO_CHEB = np.cos(np.outer(np.arange(9), np.pi * np.arange(9) / 8)) / 4.0
+_TO_CHEB[:, [0, -1]] /= 2.0
+_TO_CHEB[[0, -1]] /= 2.0
+# trailing Chebyshev coefficients below this fraction of the largest are
+# at the integrator's noise (rtol 1e-12): the interpolant is resolved
+_RESOLVED = 1e-12
+_POLISH_PASSES = 8
+
+
+def _polished_roots(sol: StreamSolution, dist: VorticityDistribution,
+                    ks: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """Zeros of the dispersion functional from its values sig at the
+    increasing wavenumbers ks.
+
+    A node where sig vanishes is a root, and each sign change of sig
+    brackets one more. One dispersion_sigma call samples every bracket at
+    9 Chebyshev-Lobatto nodes; sigma is entire in k, so the degree-8
+    interpolant on a bracket locates its zero to roundoff once its
+    trailing Chebyshev coefficients are at roundoff, and brentq finds that
+    zero on the interpolant. A bracket whose interpolant is not resolved
+    narrows to the adjacent pair of nodes across which sigma changes sign
+    nearest that zero, and is sampled again, for at most _POLISH_PASSES
+    calls in all. Where a call (or the interpolant) gives both ends of a
+    bracket one sign, sigma vanishes to roundoff at one of them, and the
+    end nearer zero is reported.
+    """
+    roots = [float(k) for k in ks[sig == 0.0]]
+    i = np.flatnonzero(np.sign(sig[:-1]) * np.sign(sig[1:]) < 0)
+    lo, hi = ks[i], ks[i + 1]
+    for npass in range(1, _POLISH_PASSES + 1):
+        if not lo.size:
+            break
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        nodes = mid[:, None] + half[:, None] * _LOBATTO
+        nodes[:, 0], nodes[:, -1] = hi, lo
+        narrowed = []
+        for k, v, m, d in zip(nodes, dispersion_sigma(sol, dist, nodes),
+                              mid, half):
+            p = np.polynomial.Chebyshev(_TO_CHEB @ v)
+            sign = np.sign(v)
+            ends = np.sign([p(1.0), p(-1.0)])
+            if sign[0] * sign[-1] > 0.0 or ends[0] * ends[1] > 0.0:
+                node = float(k[0] if abs(v[0]) < abs(v[-1]) else k[-1])
+                _log.debug("sigma changes sign on [%.17g, %.17g] in one call "
+                           "but not in the next (%.3g, %.3g): root at the "
+                           "node %.17g", k[-1], k[0], v[-1], v[0], node)
+                roots.append(node)
+                continue
+            x = brentq(p, -1.0, 1.0, xtol=1e-15)
+            tail = np.max(np.abs(p.coef[-2:])) / np.max(np.abs(p.coef))
+            if tail <= _RESOLVED or npass == _POLISH_PASSES:
+                roots.append(float(m + d * x))
+                continue
+            j = np.flatnonzero(sign[:-1] * sign[1:] <= 0.0)
+            j = j[np.argmin(np.abs(_LOBATTO[j] + _LOBATTO[j + 1] - 2.0 * x))]
+            narrowed.append((k[j + 1], k[j]))
+        lo, hi = np.array(narrowed, dtype=float).reshape(-1, 2).T
+    return np.unique(roots)
+
+
 def find_bifurcation_points(sol: StreamSolution, dist: VorticityDistribution,
                             k_min: float = 0.0, k_max: float = 5.0,
                             scan_points: int = 201) -> np.ndarray:
     """Zeros of the dispersion functional in [k_min, k_max].
 
     One dispersion_sigma call evaluates the functional at scan_points
-    equispaced wavenumbers; each sign change brackets a root, which brentq
-    polishes to 1e-12 on scalar calls, starting from its own evaluation
-    of both ends. Where the scalar path gives both ends of a bracket one
-    sign (brentq raises ValueError), sigma vanishes to roundoff at one of
-    them, and that node is reported. For still flows the functional is
-    negative throughout and the result is empty. Raises ValueError unless
-    k_min < k_max are finite and scan_points >= 2.
+    equispaced wavenumbers; each sign change brackets a root, and one more
+    call polishes every bracket at once on Chebyshev nodes (a coarse scan
+    may take a few more; see _polished_roots). For still flows the
+    functional is negative throughout and the result is empty. Raises
+    ValueError unless k_min < k_max are finite and scan_points >= 2.
     """
     if not (math.isfinite(k_min) and math.isfinite(k_max) and k_min < k_max):
         raise ValueError(
             f"need finite k_min < k_max, got [{k_min!r}, {k_max!r}]")
     if scan_points < 2:
         raise ValueError(f"need scan_points >= 2, got {scan_points!r}")
-
-    sigma = partial(dispersion_sigma, sol, dist)
     ks = np.linspace(k_min, k_max, scan_points)
-    sig = dispersion_sigma(sol, dist, ks)
-    roots = [float(ks[i]) for i in np.flatnonzero(sig == 0.0)]
-    for i in np.flatnonzero(np.sign(sig[:-1]) * np.sign(sig[1:]) < 0):
-        try:
-            roots.append(brentq(sigma, ks[i], ks[i + 1], xtol=1e-12))
-        except ValueError:
-            # the scan and the scalar path disagree only in roundoff, so
-            # sigma vanishes to roundoff at the end nearer zero
-            lo, hi = sigma(ks[i]), sigma(ks[i + 1])
-            node = float(ks[i] if abs(lo) <= abs(hi) else ks[i + 1])
-            _log.debug("sigma changes sign on [%.17g, %.17g] in the scan but "
-                       "not on scalar calls (%.3g, %.3g): root at the node "
-                       "%.17g", ks[i], ks[i + 1], lo, hi, node)
-            roots.append(node)
-    return np.unique(roots)
+    return _polished_roots(sol, dist, ks, dispersion_sigma(sol, dist, ks))
 
 
 def bifurcation_branch(sol: StreamSolution, dist: VorticityDistribution,

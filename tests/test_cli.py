@@ -215,14 +215,16 @@ class TestDispersion:
         assert signs[0] < 0 < signs[1]
 
     def test_samples_come_from_one_sigma_call(self, tmp_path):
-        # the report's samples are those of one array call, bit for bit
+        # the report's samples are those of one array call on the samples
+        # followed by the scan nodes, bit for bit
         cfg = dict(BM1, s=0.0, samples=7, k_max_scan=3.0, scan_points=11)
         code, report, _, _ = _run(tmp_path, "dispersion", cfg)
         assert code == 0
         dist = make_distribution(BM1["vorticity"])
         ks = np.linspace(0.0, 3.0, 7)
         want = wavesolver.dispersion_sigma(
-            stream.shear_solution(dist, 0.0), dist, ks)
+            stream.shear_solution(dist, 0.0), dist,
+            np.concatenate((ks, np.linspace(0.0, 3.0, 11))))[:7]
         assert [s["k"] for s in report["sigma"]] == ks.tolist()
         assert [s["sigma"] for s in report["sigma"]] == want.tolist()
 

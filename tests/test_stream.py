@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
+from stillwave import stream
 from stillwave.errors import (DivergentDepth, NoStillSolution, NotStill,
                               StepFailure)
 from stillwave.stream import (critical_surface_speed, least_still_depth,
@@ -21,6 +22,15 @@ from stillwave.stream import (critical_surface_speed, least_still_depth,
 from stillwave.vorticity import (ConstantVorticity, LinearVorticity,
                                  QuadraticTruncatedVorticity,
                                  TabulatedVorticity)
+
+
+def _released(event):
+    """A non-terminal copy of an event function."""
+    def copy(y, st):
+        return event(y, st)
+    copy.terminal = False
+    return copy
+
 
 # int_0^1 (1 - tau^3)^(-1/2) dtau = B(1/3, 1/2) / 3
 CUBIC_DEPTH = gamma(1.0 / 3.0) * gamma(0.5) / (3.0 * gamma(5.0 / 6.0))
@@ -189,6 +199,40 @@ class TestShearProbe:
         sol = shear_solution(ConstantVorticity(b=2.0), s=2.0)
         assert sol.depth == pytest.approx(1.0, abs=1e-6)
         assert sol.still
+
+    @pytest.mark.parametrize("dist, s", [
+        (ConstantVorticity(b=-1.0), 0.0), (LinearVorticity(b=-1.0), 0.5),
+        (TabulatedVorticity(nodes=[0.0, 1.0], values=[0.5, 1.5]), 2.5),
+        (ConstantVorticity(b=2.0), 2.0),
+    ], ids=["constant-moving", "linear-moving", "tabulated-moving",
+            "constant-still"])
+    def test_search_stops_at_the_surface(self, monkeypatch, dist, s):
+        # the search stops at the first crossing of 1, yet finds what a
+        # search whose every IVP runs its full length finds, bit for bit
+        integrate = stream._integrate
+        ends = {True: [], False: []}
+
+        def search(terminal):
+            def run(dist, s, y_end, events=(), **options):
+                if not terminal:
+                    events = tuple(_released(e) for e in events)
+                sol = integrate(dist, s, y_end, events=events, **options)
+                ends[terminal].append((float(sol.t[-1]), y_end))
+                return sol
+            with monkeypatch.context() as m:
+                m.setattr(stream, "_integrate", run)
+                return shear_solution(dist, s)
+
+        got, want = search(True), search(False)
+        # the first IVP of each search: the reference runs its full
+        # length, and the search stops short of it at a moving surface (a
+        # still one touches 1 without crossing it)
+        (t_ref, y_ref), (t_got, _) = ends[False][0], ends[True][0]
+        assert t_ref == y_ref
+        assert want.still or t_got < 0.5 * y_ref
+        assert (got.depth, got.surface_speed, got.still) == \
+            (want.depth, want.surface_speed, want.still)
+        assert np.array_equal(got.profile.U_values, want.profile.U_values)
 
     def test_subcritical_never_reaches(self):
         # U = y - y^2 tops out at 1/4

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import brentq
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +77,20 @@ def still_quad():
 @pytest.fixture(scope="module")
 def moving_bm1():
     return shear_solution(BM1, s=0.0)
+
+
+@pytest.fixture
+def sigma_calls(monkeypatch):
+    """The wavenumber shape of each dispersion_sigma call the solver makes."""
+    shapes = []
+    sigma = wavesolver.dispersion_sigma
+
+    def recording(sol, dist, k):
+        shapes.append(np.shape(k))
+        return sigma(sol, dist, k)
+
+    monkeypatch.setattr(wavesolver, "dispersion_sigma", recording)
+    return shapes
 
 
 class TestStripGrid:
@@ -418,7 +433,7 @@ class TestDispersion:
         # omega' = 2 on [0, 1] gives f = sin(sqrt 2 y) / sqrt 2 at k = 0 and
         # h = pi / sqrt 2, so sigma(0) = -f(h) = 0 and the sign of either
         # path at that node is roundoff. Flipping the scan's sign there
-        # makes a bracket whose ends the scalar path gives one sign.
+        # makes a bracket whose ends the polish gives one sign.
         hat = TabulatedVorticity(nodes=[0.0, 1.0], values=[-1.0, 1.0])
         sol = still_depth_family(hat)[0]
         sigma0 = dispersion_sigma(sol, hat, 0.0)
@@ -427,7 +442,7 @@ class TestDispersion:
 
         def flipped(sol, dist, k):
             sig = sigma(sol, dist, k)
-            if np.ndim(sig):
+            if np.ndim(sig) == 1:  # the scan, not the polish
                 sig[0] = -math.copysign(abs(sig[0]), sigma0)
             return sig
 
@@ -456,24 +471,63 @@ class TestDispersion:
             with pytest.raises(ValueError, match="finite"):
                 dispersion_mode(moving_bm1, BM1, k)
 
-    def test_each_bracket_end_is_evaluated_once(self, moving_bm1,
-                                                monkeypatch):
-        # brentq evaluates both ends of the bracket itself; nothing else
-        # evaluates them on the scalar path
-        scalar_ks = []
-        sigma = wavesolver.dispersion_sigma
+    def test_one_scan_and_one_polish_call(self, moving_bm1, still_b2,
+                                           sigma_calls):
+        # the default scan's one bracket is resolved by one polish call on
+        # its 9 Chebyshev nodes; a still flow has no bracket to polish
+        assert find_bifurcation_points(moving_bm1, BM1, 0.0, 5.0).size == 1
+        assert sigma_calls == [(201,), (1, 9)]
+        sigma_calls.clear()
+        assert find_bifurcation_points(still_b2, B2, 0.0, 5.0).size == 0
+        assert sigma_calls == [(201,)]
 
-        def recording(sol, dist, k):
-            if np.ndim(k) == 0:
-                scalar_ks.append(float(k))
-            return sigma(sol, dist, k)
+    @pytest.mark.parametrize("dist, s", [
+        (BM1, 0.0), (LinearVorticity(b=-1.0), 0.5),
+        # one flow from each of the benchmark's branch families
+        (ConstantVorticity(b=-1.4), 0.2), (LinearVorticity(b=-1.3), 0.5),
+    ], ids=["constant-bm1", "linear-bm1", "constant-band", "linear-band"])
+    def test_polish_matches_brentq(self, dist, s):
+        sol = shear_solution(dist, s)
+        (root,) = find_bifurcation_points(sol, dist, 0.0, 5.0)
+        ref = brentq(partial(dispersion_sigma, sol, dist), root - 0.02,
+                     root + 0.02, xtol=1e-14)
+        assert abs(root - ref) <= 1e-11
 
-        monkeypatch.setattr(wavesolver, "dispersion_sigma", recording)
-        (root,) = find_bifurcation_points(moving_bm1, BM1, 0.0, 5.0)
-        ks = np.linspace(0.0, 5.0, 201)
-        lo, hi = ks[ks < root].max(), ks[ks > root].min()
-        assert scalar_ks.count(lo) == 1
-        assert scalar_ks.count(hi) == 1
+    def test_coarse_scan_narrows_its_bracket(self, moving_bm1, sigma_calls):
+        # the scan [0.5, 1.25, 2] leaves a bracket too wide for one
+        # degree-8 interpolant, so the polish narrows it and calls again
+        (root,) = find_bifurcation_points(moving_bm1, BM1, 0.5, 2.0,
+                                          scan_points=3)
+        assert sigma_calls[0] == (3,) and len(sigma_calls) > 2
+        assert set(sigma_calls[1:]) == {(1, 9)}
+        ref = brentq(partial(dispersion_sigma, moving_bm1, BM1), 0.5, 1.25,
+                     xtol=1e-14)
+        assert abs(root - ref) <= 1e-11
+        assert abs(root - BIFURCATION_K) <= 1e-11
+
+    def test_polishes_every_bracket_in_one_call_per_pass(self, moving_bm1,
+                                                         monkeypatch):
+        # sigma = cos 2k has zeros pi/4, 3pi/4 and 5pi/4 in [0, 5]; the scan
+        # at 0, 1, ..., 5 brackets each in a unit interval, which takes
+        # more than one pass, and each pass is one call on every bracket
+        # still open
+        calls = []
+
+        def cosine(sol, dist, k):
+            calls.append(np.shape(k))
+            return np.cos(2.0 * np.asarray(k, dtype=float))[()]
+
+        monkeypatch.setattr(wavesolver, "dispersion_sigma", cosine)
+        roots = find_bifurcation_points(moving_bm1, BM1, 0.0, 5.0,
+                                        scan_points=6)
+        want = np.pi / 4.0 * np.array([1.0, 3.0, 5.0])
+        assert roots.shape == (3,)
+        assert np.max(np.abs(roots - want)) <= 1e-12
+        assert calls[0] == (6,) and len(calls) > 2
+        assert all(len(c) == 2 and c[1] == 9 for c in calls[1:])
+        assert calls[1] == (3, 9)
+        counts = [c[0] for c in calls[1:]]
+        assert counts == sorted(counts, reverse=True)
 
     @pytest.mark.parametrize("k_min, k_max, scan_points", [
         (0.0, 5.0, 1), (0.0, 5.0, 0), (2.0, 2.0, 11), (3.0, 1.0, 11),
