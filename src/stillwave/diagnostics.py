@@ -256,8 +256,8 @@ def _solve_first_order_model(sol: StreamSolution, dist: VorticityDistribution,
 
     # the flat psi-block of the free-boundary Jacobian at depth h, one
     # tridiagonal block per rfft mode in x
-    blocks = _FlatBlocks(grid, h ** -2.0, wp_col[1:ny])
-    w_hat = blocks.solve(np.fft.rfft(rhs.T))
+    solve = _FlatBlocks(grid, h ** -2.0, wp_col[1:ny]).at(grid._dxx_symbol)
+    w_hat = solve(np.fft.rfft(rhs.T))
     w_int = np.fft.irfft(w_hat, nx).T
 
     w = np.zeros((nx, ny + 1))

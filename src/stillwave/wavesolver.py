@@ -21,9 +21,9 @@ solve starts as chord steps on one reference Jacobian. Near-flat solves
 use the flat-state Jacobian, built from one stream column and the depth
 (_FlatSolver). It commutes with shifts in x and is solved mode by mode
 after an rfft in x, through one eigendecomposition in q shared by every
-mode and a Schur step on eta. A pinned-amplitude variant releases the
-Bernoulli constant for continuation off a bifurcation point and runs its
-chord steps on one SuperLU factor of the bordered Jacobian at its seed.
+mode (at any symbol of Dxx) and a Schur step on eta. Continuation off a
+bifurcation point pins the amplitude, releases the Bernoulli constant,
+seeds from those blocks and runs chord steps on one SuperLU factor.
 """
 
 from __future__ import annotations
@@ -156,6 +156,14 @@ class StripGrid:
 
         self.Dx, self.Dxx = _difference_matrices(nx, self.dx, topology)
         self.Dq, self.Dqq = _difference_matrices(ny + 1, self.dq, "one-sided")
+
+    @cached_property
+    def _dxx_symbol(self) -> np.ndarray:
+        """Eigenvalues of Dxx on the modes cos(2 pi m x / L), m = 0 .. n//2,
+        of n = nx (periodic) or 2 (nx - 1) (reflect) nodes per period."""
+        n = self.nx if self.topology == "periodic" else 2 * (self.nx - 1)
+        m = np.arange(n // 2 + 1)
+        return -(2.0 - 2.0 * np.cos(2.0 * math.pi * m / n)) / self.dx ** 2
 
     @cached_property
     def _jacobian_factors(self):
@@ -454,33 +462,44 @@ def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
 
 
 class _FlatBlocks:
-    """The blocks T_m = A + lam_m I of the psi-block at an x-independent
-    state, one per rfft mode m = 0 .. nx//2 (lam, the symbol of Dxx: its
-    eigenvalues on those modes), with A = c Dqq + diag(wprime) on the
-    interior q nodes. c_qq = c is the same on every node of such a state,
-    so A is symmetric tridiagonal and one eigendecomposition A = V diag(mu)
-    V^T diagonalises every block (the fast diagonalisation of Lynch, Rice &
-    Thomas, Numer. Math. 6, 1964): T_m^-1 = V diag(1 / (mu + lam_m)) V^T,
-    with no pivots. Raises RuntimeError when some mu_i + lam_m vanishes to
-    roundoff."""
+    """The blocks T(lam) = A + lam I of the psi-block at an x-independent
+    state, one per symbol lam of Dxx (StripGrid._dxx_symbol), with A =
+    c Dqq + diag(wprime) on the interior q nodes. c_qq = c is the same on
+    every node of such a state, so A is symmetric tridiagonal and one
+    eigendecomposition A = V diag(mu) V^T diagonalises every block (the
+    fast diagonalisation of Lynch, Rice & Thomas, Numer. Math. 6, 1964):
+    T(lam)^-1 = V diag(1 / (mu + lam)) V^T, with no pivots."""
 
     def __init__(self, grid: StripGrid, c: float, wprime):
         Dqq = grid.Dqq[1:grid.ny, 1:grid.ny]
-        mu, self.V = eigh_tridiagonal(c * Dqq.diagonal() + wprime,
-                                      c * Dqq.diagonal(1))
-        m = np.arange(grid.nx // 2 + 1)
-        self.lam = (-(2.0 - 2.0 * np.cos(2.0 * math.pi * m / grid.nx))
-                    / grid.dx ** 2)
-        self.denom = mu[:, None] + self.lam
-        if np.any(np.abs(self.denom) <= np.finfo(float).eps
-                  * (np.max(np.abs(mu)) + np.abs(self.lam))):
+        self.mu, self.V = eigh_tridiagonal(c * Dqq.diagonal() + wprime,
+                                           c * Dqq.diagonal(1))
+
+    def at(self, lam):
+        """rhs -> T(lam[m])^-1 rhs[:, m] for each m, rhs real or complex;
+        raises RuntimeError when some mu_i + lam[m] vanishes to roundoff."""
+        denom = self.mu[:, None] + lam
+        if np.any(np.abs(denom) <= np.finfo(float).eps
+                  * (np.max(np.abs(self.mu)) + np.abs(lam))):
             raise RuntimeError("flat Jacobian is singular: a Fourier block "
                                "is singular")
+        return lambda rhs: self.V @ ((self.V.T @ rhs) / denom)
 
-    def solve(self, rhs):
-        """T_m^-1 rhs[:, m] for every mode m; rhs is (ny - 1, nx//2 + 1),
-        real or complex."""
-        return self.V @ ((self.V.T @ rhs) / self.denom)
+
+def _eta_response(col, h, grid: StripGrid, dist, lam):
+    """The flat psi-blocks of stream column col and depth h, solved at lam
+    (_FlatBlocks.at); Y[:, m] = T(lam[m])^-1 (eta column), minus psi's
+    response to a unit eta in the mode of lam[m]; and Psi_q = Dq col. The
+    eta column is built like _assemble_jacobian's, on numpy arrays (whose
+    powers round unlike Python's), so it is bit-identical to it."""
+    inner = slice(1, grid.ny)
+    pq, pqq = grid.Dq @ col, grid.Dqq @ col
+    inv_eta = 1.0 / np.full(1, h)
+    solve = _FlatBlocks(grid, inv_eta ** 2, np.asarray(
+        dist.derivative(col[inner]), dtype=float)).at(lam)
+    column = ((-2.0 * inv_eta ** 3 * pqq[inner])[:, None]
+              + (-grid.q[inner] * inv_eta * pq[inner])[:, None] * lam)
+    return solve, solve(column), pq
 
 
 class _FlatSolver:
@@ -489,35 +508,22 @@ class _FlatSolver:
 
     That Jacobian commutes with shifts in x (Strang, Stud. Appl. Math. 74,
     1986; Chan, SIAM J. Sci. Stat. Comput. 9, 1988): after an rfft in x,
-    mode m holds T_m bordered by the eta column d_eta + lam_m d_exx, the
-    Bernoulli row bern_psi S and the corner bern_eta, the coefficients of
-    _assemble_jacobian that survive eta_x = eta_xx = Psi_x = 0. They are
-    built from Psi_q = Dq col and Psi_qq = Dqq col in that function's order
-    of operations, on numpy arrays (whose powers round unlike Python's),
-    so each is bit-identical to the assembly's at the tiled state. The
-    build keeps the blocks (_FlatBlocks), Y_m = T_m^-1 (eta column) and
-    the Schur complements bern_eta - bern_psi S Y_m, and raises
-    RuntimeError when a block is singular or a Schur complement vanishes
-    to roundoff. A solve is an rfft, one block solve, the Schur step and
-    an irfft.
+    mode m holds the block T(lam_m) (lam_m the symbol of Dxx) bordered by
+    the eta column, the Bernoulli row bern_psi S and the corner bern_eta.
+    To _eta_response's block solve and Y this adds the border, built the same
+    way, and the Schur complements bern_eta - bern_psi S Y_m; a singular
+    block or Schur complement raises RuntimeError. A solve is an rfft, one
+    block solve, the Schur step and an irfft.
     """
 
     def __init__(self, col, h, grid: StripGrid, dist):
         self.nx = grid.nx
-        inner = slice(1, grid.ny)
-        q = grid.q[inner]
-        pq, pqq = grid.Dq @ col, grid.Dqq @ col
-        pq_s = pq[grid.ny]
-        eta = np.full(1, h)
-        inv_eta = 1.0 / eta
-        self.blocks = _FlatBlocks(grid, inv_eta ** 2, np.asarray(
-            dist.derivative(col[inner]), dtype=float))
-        bern_psi = 2.0 * pq_s / eta ** 2
+        self.block_solve, self.Y, pq = _eta_response(col, h, grid, dist,
+                                                     grid._dxx_symbol)
+        pq_s, eta = pq[grid.ny], np.full(1, h)
         bern_eta = 2.0 - 2.0 * (pq_s / eta) ** 2 / eta
-        self.border = bern_psi * grid.Dq[-1, inner].toarray()[0]
-        column = ((-2.0 * inv_eta ** 3 * pqq[inner])[:, None]
-                  + (-q * inv_eta * pq[inner])[:, None] * self.blocks.lam)
-        self.Y = self.blocks.solve(column)
+        self.border = (2.0 * pq_s / eta ** 2
+                       * grid.Dq[-1, 1:grid.ny].toarray()[0])
         self.schur = bern_eta - self.border @ self.Y
         if not np.all(np.abs(self.schur)
                       > np.finfo(float).eps * np.abs(bern_eta)):
@@ -530,7 +536,7 @@ class _FlatSolver:
         f = np.empty((n_int // nx + 1, nx))
         f[:-1], f[-1] = b[:n_int].reshape(nx, -1).T, b[n_int:]
         f = np.fft.rfft(f)
-        z = self.blocks.solve(f[:-1])
+        z = self.block_solve(f[:-1])
         f[-1] = (f[-1] - self.border @ z) / self.schur
         f[:-1] = z - self.Y * f[-1]
         out = np.fft.irfft(f, nx)
@@ -807,7 +813,8 @@ def dispersion_sigma(sol: StreamSolution, dist: VorticityDistribution, k):
 
 def dispersion_mode(sol: StreamSolution, dist: VorticityDistribution,
                     k: float):
-    """Dense-output callable y -> f(y) for the transverse mode, plus h."""
+    """Dense-output callable y -> f(y) for the transverse mode, plus h: the
+    continuous mode that bifurcation_branch's discrete seed approximates."""
     out = _dispersion_solve(sol, dist, [k], dense_output=True)
 
     def f(y):
@@ -912,49 +919,41 @@ def bifurcation_branch(sol: StreamSolution, dist: VorticityDistribution,
     Works on the half-period reflecting grid with the crest elevation
     pinned at h + amplitude and the Bernoulli constant released, which
     removes the horizontal-translation null direction. The seed is the
-    linear mode in mapped coordinates. Newton gets up to 60 iterations,
-    which start as chord steps on one SuperLU factor of the bordered
-    Jacobian at the seed; a chord step that does not contract hands the
-    solve to exact damped steps (see _newton_core). So one factorization
-    usually serves the whole call, and iterations counts chord steps,
-    which take more iterations than exact Newton to the same tolerance.
-    The result is unfolded to the full periodic grid (nx must be even;
-    the half grid has nx/2 + 1 nodes).
-    Raises ValueError unless 0 < k < inf and 0 < amplitude < inf, and
-    NewtonDiverged when Newton lands on the raised flat state
-    eta = h + amplitude, which also satisfies the pin, instead of a wave.
+    discrete linear mode, with no IVP: the grid's flat_state (and its r)
+    plus amplitude cos(kx) on eta and its response (_eta_response) on psi.
+    Newton gets up to 60 iterations, which start as chord steps on one
+    SuperLU factor of the bordered Jacobian at the seed; a chord step that
+    does not contract hands the solve to exact damped steps (see
+    _newton_core). So one factorization usually serves the whole call, and
+    iterations counts chord steps, which take more iterations than exact
+    Newton to the same tolerance. The result is unfolded to the full grid.
+    Raises ValueError unless 0 < k < inf, 0 < amplitude < inf and nx is
+    even and at least 6 (the half grid has nx/2 + 1 nodes), or when the
+    flat psi-block is singular at k; NewtonDiverged when Newton lands on
+    the raised flat state eta = h + amplitude, which also satisfies the
+    pin, instead of a wave.
     """
     if not (0.0 < k < math.inf and 0.0 < amplitude < math.inf):
         raise ValueError(f"need 0 < k < inf and 0 < amplitude < inf, got "
                          f"k={k!r}, amplitude={amplitude!r}")
-    if nx % 2:
-        raise ValueError("nx must be even so the half grid unfolds cleanly")
+    if nx % 2 or nx < 6:
+        raise ValueError(f"need an even nx >= 6 (the half grid has nx/2 + 1 "
+                         f"nodes and unfolds), got nx={nx!r}")
     L = 2.0 * math.pi / k
     nxh = nx // 2 + 1
     grid = StripGrid(L, nxh, ny, "reflect")
     h = sol.depth
-    uy_h = float(sol.surface_speed)
-
-    fmode, _ = dispersion_mode(sol, dist, k)
-    f_h = float(fmode(h))
-    if abs(f_h) < 1e-12:
-        raise ValueError("mode vanishes at the surface; cannot scale the seed")
-    c = -uy_h * amplitude / f_h
-
-    qh = grid.q * h
-    ucol = np.asarray(sol.U(qh), dtype=float)
-    uycol = np.asarray(sol.Uy(qh), dtype=float)
-    fcol = np.asarray(fmode(qh), dtype=float)
+    flat = flat_state(sol, dist, L, nxh, ny)
+    try:  # cos(kx) is the grid's mode 1
+        _, Y, _ = _eta_response(flat.psi[0], h, grid, dist,
+                                grid._dxx_symbol[1:2])
+    except RuntimeError as exc:
+        raise ValueError(f"no linear seed at k={k:.6g} on the {nx}x{ny} "
+                         f"grid: {exc}") from exc
     cosx = np.cos(k * grid.x)
-
     eta = h + amplitude * cosx
-    psi = (ucol[None, :]
-           + cosx[:, None] * (c * fcol[None, :]
-                              + amplitude * grid.q[None, :] * uycol[None, :]))
-    psi[:, 0] = 0.0
-    psi[:, -1] = 1.0
-
-    r0 = (uy_h ** 2 + 2.0 * h) / 3.0
+    psi, r0 = flat.psi, flat.r
+    psi[:, 1:ny] -= amplitude * np.outer(cosx, Y)
     pin = (0, h + amplitude)
     seed_factor = lambda: _factor(_assemble_jacobian(
         psi, eta, _residual_parts(psi, eta, r0, grid, dist), grid, dist,

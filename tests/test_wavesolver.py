@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stillwave
-from stillwave import cli, wavesolver
+from stillwave import cli, stream, wavesolver
 from stillwave.errors import (InvalidSweepCase, NewtonDiverged,
                               StepFailure, SurfaceCollapse)
 from stillwave.stream import shear_solution, still_depth_family
@@ -622,8 +622,67 @@ class TestBifurcationBranch:
                                nx=16, ny=8)
 
     def test_odd_nx_rejected(self, moving_bm1):
-        with pytest.raises(ValueError):
-            bifurcation_branch(moving_bm1, BM1, BIFURCATION_K, nx=63)
+        # nx = 4 would give a half grid of 3 nodes
+        for nx in (63, 4):
+            with pytest.raises(ValueError, match=r"even nx >= 6 \(the half "
+                               r"grid has nx/2 \+ 1 nodes.*got nx=%d" % nx):
+                bifurcation_branch(moving_bm1, BM1, BIFURCATION_K, nx=nx)
+
+    @pytest.mark.parametrize("dist, s", [(BM1, 0.0),
+                                         (LinearVorticity(b=-1.3), 0.5)],
+                             ids=["criterion_6", "linear"])
+    def test_seed_converges_to_the_continuous_mode(self, dist, s,
+                                                   monkeypatch):
+        # the seed's psi perturbation at the crest against the IVP mode in
+        # mapped coordinates, c f(qh) + a q U_y(qh) with c f(h) = -a U_y(h)
+        # (psi = 1 on the surface), at a = 1 on grids refined in x and q
+        sol = shear_solution(dist, s)
+        (k,) = find_bifurcation_points(sol, dist)
+        fmode, h = dispersion_mode(sol, dist, k)
+        c = -float(sol.surface_speed) / float(fmode(h))
+        seeds = []
+
+        def capture(psi, eta, r, *args, **kwargs):
+            seeds.append((psi, eta, r))
+            raise StopIteration
+
+        monkeypatch.setattr(wavesolver, "_newton_core", capture)
+        errors = []
+        for ny in (16, 32, 64, 128):
+            with pytest.raises(StopIteration):
+                bifurcation_branch(sol, dist, k, amplitude=1.0, nx=2 * ny,
+                                   ny=ny)
+            psi, eta, r = seeds.pop()
+            flat = flat_state(sol, dist, 2.0 * math.pi / k, ny + 1, ny)
+            assert r == flat.r
+            assert eta[0] == h + 1.0
+            q = flat.q
+            mode = c * fmode(q * h) + q * sol.Uy(q * h)
+            errors.append(np.max(np.abs(psi[0] - flat.psi[0] - mode)))
+        ratios = np.array(errors[:-1]) / errors[1:]
+        assert np.all((3.5 <= ratios) & (ratios <= 4.5)), (errors, ratios)
+
+    def test_solves_no_ivp(self, moving_bm1, monkeypatch):
+        calls = []
+        for module in (wavesolver, stream):
+            def counted(*args, _ivp=module.solve_ivp, **kwargs):
+                calls.append(args)
+                return _ivp(*args, **kwargs)
+            monkeypatch.setattr(module, "solve_ivp", counted)
+        res = bifurcation_branch(moving_bm1, BM1, BIFURCATION_K,
+                                 amplitude=0.02, nx=64, ny=32)
+        assert res.norms.max() < 1e-9
+        assert calls == []
+
+    def test_singular_seed_block_is_value_error(self, moving_bm1,
+                                                monkeypatch):
+        def singular(*args):
+            raise RuntimeError("a Fourier block is singular")
+
+        monkeypatch.setattr(wavesolver, "_FlatBlocks", singular)
+        with pytest.raises(ValueError, match=r"no linear seed at k=1\.10574 "
+                           r"on the 16x8 grid: a Fourier block is singular"):
+            bifurcation_branch(moving_bm1, BM1, BIFURCATION_K, nx=16, ny=8)
 
 
 class TestSweep:
@@ -870,23 +929,31 @@ class TestFlatSolver:
             flat_state(moving_bm1, BM1, 3.0, nx, ny), BM1)
 
     def test_blocks_match_dense_solves_when_indefinite(self):
-        # c = 1 and omega' = ny^2 make T_0 indefinite, with an exactly zero
+        # c = 1 and omega' = ny^2 make T(0) indefinite, with an exactly zero
         # second pivot under elimination without pivoting
         nx, ny = 16, 16
         grid = StripGrid(2.0, nx, ny)
         blocks = wavesolver._FlatBlocks(grid, 1.0, np.full(ny - 1, ny ** 2.0))
+        # the periodic grid's symbols, then -k^2 at a k that no mode of
+        # this grid has
+        lam = np.append(grid._dxx_symbol, -1.3 ** 2)
         rng = np.random.default_rng(ny)
-        rhs = rng.standard_normal((ny - 1, nx // 2 + 1, 2)) @ [1.0, 1j]
+        rhs = rng.standard_normal((ny - 1, lam.size, 2)) @ [1.0, 1j]
         A = grid.Dqq[1:ny, 1:ny].toarray() + ny ** 2 * np.eye(ny - 1)
-        out = blocks.solve(rhs)
-        for m, lam in enumerate(blocks.lam):
-            # lam_m is the eigenvalue of the periodic Dxx on mode m
-            mode = np.cos(2.0 * math.pi * m * np.arange(nx) / nx)
-            assert np.allclose(grid.Dxx @ mode, lam * mode, rtol=0.0,
-                               atol=1e-10)
-            ref = np.linalg.solve(A + lam * np.eye(ny - 1), rhs[:, m])
+        out = blocks.at(lam)(rhs)
+        for m, lam_m in enumerate(lam):
+            ref = np.linalg.solve(A + lam_m * np.eye(ny - 1), rhs[:, m])
             assert np.max(np.abs(out[:, m] - ref)) <= 1e-12 * np.max(
                 np.abs(ref))
+        # lam_m is the eigenvalue of Dxx on mode m: cos(2 pi m x / L), with
+        # nx nodes per period (periodic) or 2 (nx - 1) (reflecting)
+        for topology, per_period in (("periodic", nx),
+                                     ("reflect", 2 * (nx - 1))):
+            g = StripGrid(2.0, nx, ny, topology)
+            for m, lam_m in enumerate(g._dxx_symbol):
+                mode = np.cos(2.0 * math.pi * m * np.arange(nx) / per_period)
+                assert np.allclose(g.Dxx @ mode, lam_m * mode, rtol=0.0,
+                                   atol=1e-10)
 
     def test_indefinite_block_matches_splu(self, factorizations):
         # the flat state of linear b = ny^2 on h = 1: its m = 0 block is
