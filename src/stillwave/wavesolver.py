@@ -16,8 +16,9 @@ Laplacian into a variable-coefficient operator
 
 discretized with second-order centered differences in both directions
 (one-sided second-order stencils close the q boundary rows). Newton's
-method with an exact sparse Jacobian drives the coupled system, and every
-solve starts as chord steps on one reference Jacobian. Near-flat solves
+method with an exact sparse Jacobian, summed into CSC on a pattern cached
+per grid shape, drives the coupled system, and every solve starts as
+chord steps on one reference Jacobian. Near-flat solves
 use the flat-state Jacobian, built from one stream column and the depth
 (_FlatSolver). It commutes with shifts in x and is solved mode by mode
 after an rfft in x, through one eigendecomposition in q shared by every
@@ -31,7 +32,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -132,7 +133,7 @@ class StripGrid:
     with circulant x-stencils. topology "reflect": nx nodes cover half a
     period [0, L/2] endpoints included, with even reflection closing the
     x-stencils; this is the natural grid for waves with a crest at x = 0
-    and a trough at x = L/2.
+    and a trough at x = L/2. Jacobian patterns are cached per grid shape.
     """
 
     def __init__(self, period_L: float, nx: int, ny: int,
@@ -164,25 +165,6 @@ class StripGrid:
         n = self.nx if self.topology == "periodic" else 2 * (self.nx - 1)
         m = np.arange(n // 2 + 1)
         return -(2.0 - 2.0 * np.cos(2.0 * math.pi * m / n)) / self.dx ** 2
-
-    @cached_property
-    def _jacobian_factors(self):
-        """Constant factors of the Jacobian, built on the first assembly:
-        Dxx, Dqq, Dx Dq and Dq of the psi-block on interior nodes, E, E Dx
-        and E Dxx of the eta-block (E spreads each x node over its interior
-        rows), and S, the surface row of Dq on interior columns."""
-        inner = slice(1, self.ny)
-        Dq, Dqq = self.Dq[inner, inner], self.Dqq[inner, inner]
-        Ix = sp.identity(self.nx, format="csr")
-        col = np.ones((self.ny - 1, 1))
-        return (sp.kron(self.Dxx, sp.identity(self.ny - 1, format="csr"),
-                        format="csr"),
-                sp.kron(Ix, Dqq, format="csr"),
-                sp.kron(self.Dx, Dq, format="csr"),
-                sp.kron(Ix, Dq, format="csr"),
-                *(sp.kron(D, col, format="csr")
-                  for D in (Ix, self.Dx, self.Dxx)),
-                sp.kron(Ix, self.Dq[-1:, inner], format="csr"))
 
 
 @dataclass(eq=False)
@@ -409,56 +391,110 @@ def _factor(A):
     return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
+def _jacobian_terms(nx: int, ny: int, Dx, Dxx, Dq, Dqq, pin_index):
+    """The terms of _assemble_jacobian in its order, as (row offset, column
+    offset, A, B) with A and B as (row, col, data, shape) in row-major
+    order: the factor kron(A, B) has the products a b of every pair."""
+    def entries(M):  # a CSR or a dense matrix
+        if sp.issparse(M):
+            return (np.repeat(np.arange(M.shape[0], dtype=np.int32),
+                              np.diff(M.indptr)), M.indices, M.data, M.shape)
+        row, col = np.array(np.nonzero(M), dtype=np.int32)
+        return row, col, M[row, col], M.shape
+    inner, n_int = slice(1, ny), nx * (ny - 1)
+    Ix, Im, one = sp.identity(nx, format="csr"), np.eye(ny - 1), np.eye(1)
+    col, Dq, Dqq = np.ones((ny - 1, 1)), Dq.toarray(), Dqq.toarray()
+    terms = [(0, 0, Dxx, Im), (0, 0, Ix, Dqq[inner, inner]),
+             (0, 0, Dx, Dq[inner, inner]), (0, 0, Ix, Dq[inner, inner]),
+             (0, 0, Ix, Im), (0, n_int, Ix, col), (0, n_int, Dx, col),
+             (0, n_int, Dxx, col), (n_int, 0, Ix, Dq[ny:, inner]),
+             (n_int, n_int, Ix, one), (n_int, n_int, Dx, one)]
+    if pin_index is not None:  # the r column and the pin row
+        terms += [(n_int, n_int + nx, np.full((nx, 1), -3.0), one),
+                  (n_int + nx, n_int, np.eye(1, nx, pin_index), one)]
+    return [(r, c, entries(A), entries(B)) for r, c, A, B in terms]
+
+
+@lru_cache(maxsize=8)
+def _jacobian_layout(nx: int, ny: int, topology: str, pin_index):
+    """The Jacobian's pattern on grids of this shape (int32 CSC indices and
+    indptr), the place in it of each term entry and each term's bounds in
+    that list; the keys col * n + row are int32 when n^2 fits."""
+    terms = _jacobian_terms(nx, ny, *_difference_matrices(nx, 1.0, topology),
+                            *_difference_matrices(ny + 1, 1.0, "one-sided"),
+                            pin_index)
+    n = nx * ny + (pin_index is not None)
+    key = np.int32 if n * n < 2 ** 31 else np.int64
+    keys = [((c + ac.astype(key)[:, None] * nb + bc) * n
+             + r + ar.astype(key)[:, None] * mb + br).ravel()
+            for r, c, (ar, ac, _, _), (br, bc, _, (mb, nb)) in terms]
+    union = np.sort(np.concatenate(keys))
+    union = union[np.append(True, union[1:] != union[:-1])]
+    indptr = np.searchsorted(union, np.arange(n + 1, dtype=key) * n)
+    return ((union % n).astype(np.int32), indptr.astype(np.int32),
+            np.concatenate([np.searchsorted(union, k).astype(np.int32)
+                            for k in keys]),
+            np.cumsum([0] + [k.size for k in keys]))
+
+
 def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
                        dist, pin: Optional[tuple] = None):
     """Jacobian of [pde rows; bernoulli rows] wrt [interior psi; eta], exact
-    and sparse. The psi-block is K_xx + diag(c_qq) K_qq + diag(c_xq) K_xq
-    + diag(c_q) K_q + diag(omega'(Psi)). A pde row depends on eta only
+    and sparse, in CSC. The psi-block is K_xx + diag(c_qq) K_qq + diag(c_xq)
+    K_xq + diag(c_q) K_q + diag(omega'(Psi)). A pde row depends on eta only
     through eta, eta_x and eta_xx at its own x node, so the eta-block is
     diag(d_eta) E + diag(d_ex) E_x + diag(d_exx) E_xx, with d_* the
     derivatives of c_qq, c_xq and c_q times the Psi terms they scale (E
     spreads each x node over its interior rows). The Bernoulli rows are
     diag(bern_psi) S and diag(bern_eta) + diag(bern_ex) Dx. With pin =
     (index, value) the system is bordered: r joins the unknowns and the
-    equation eta[index] = value joins the rows.
+    equation eta[index] = value joins the rows. Each K is a kron of the
+    grid's difference matrices (_jacobian_terms), on a pattern cached per
+    grid shape (_jacobian_layout); the terms are summed in the order above
+    by one bincount (Cuvelier, Japhet & Scarella, BIT Numer. Math. 56,
+    2016), and exact zeros go, except in bern_psi S.
     """
-    nx, inner = grid.nx, slice(1, grid.ny)
-    K_xx, K_qq, K_xq, K_q, E, E_x, E_xx, S = grid._jacobian_factors
+    nx, ny, inner = grid.nx, grid.ny, slice(1, grid.ny)
     ex, exx, pq, pqq, pxq = parts.ex, parts.exx, parts.pq, parts.pqq, parts.pxq
     q = grid.q[None, :]
     inv_eta = 1.0 / eta[:, None]
     qe = q * ex[:, None] * inv_eta
     metric = 1.0 + (q * ex[:, None]) ** 2
-    pq_s = pq[:, grid.ny]
+    pq_s = pq[:, ny]
     s2 = (pq_s / eta) ** 2
-
-    def diag(coef):  # of a coefficient on the interior nodes
-        return sp.diags(coef[:, inner].ravel())
-
-    J_pp = (K_xx + diag(metric * inv_eta ** 2) @ K_qq
-            + diag(-2.0 * qe) @ K_xq
-            + diag(q * (2.0 * (ex[:, None] * inv_eta) ** 2
-                        - exx[:, None] * inv_eta)) @ K_q
-            + sp.diags(np.asarray(dist.derivative(psi[:, inner]),
-                                  dtype=float).ravel()))
-    # a diags() product would drop S's entries where pq_s = 0
-    J_bp = S.multiply((2.0 * (1.0 + ex ** 2) * pq_s / eta ** 2)[:, None])
-    J_pe = (diag(-2.0 * metric * inv_eta ** 3 * pqq
-                 + 2.0 * qe * inv_eta * pxq
-                 + q * (exx[:, None] - 4.0 * ex[:, None] ** 2 * inv_eta)
-                 * inv_eta ** 2 * pq) @ E
-            + diag(2.0 * q * qe * inv_eta * pqq - 2.0 * q * inv_eta * pxq
-                   + 4.0 * qe * inv_eta * pq) @ E_x
-            + diag(-q * inv_eta * pq) @ E_xx)
-    J_be = (sp.diags(2.0 - 2.0 * (1.0 + ex ** 2) * s2 / eta)
-            + sp.diags(2.0 * ex * s2) @ grid.Dx)
-
-    if pin is None:
-        return sp.bmat([[J_pp, J_pe], [J_bp, J_be]], format="csr")
-    r_col = sp.csr_matrix(np.full((nx, 1), -3.0))
-    pin_row = sp.csr_matrix(([1.0], ([0], [pin[0]])), shape=(1, nx))
-    return sp.bmat([[J_pp, J_pe, None], [J_bp, J_be, r_col],
-                    [None, pin_row, None]], format="csr")
+    coefs = [None, *(c[:, inner] for c in (
+        metric * inv_eta ** 2, -2.0 * qe,
+        q * (2.0 * (ex[:, None] * inv_eta) ** 2 - exx[:, None] * inv_eta))),
+        np.asarray(dist.derivative(psi[:, inner]), dtype=float),
+        *(c[:, inner] for c in (
+            -2.0 * metric * inv_eta ** 3 * pqq + 2.0 * qe * inv_eta * pxq
+            + q * (exx[:, None] - 4.0 * ex[:, None] ** 2 * inv_eta)
+            * inv_eta ** 2 * pq,
+            2.0 * q * qe * inv_eta * pqq - 2.0 * q * inv_eta * pxq
+            + 4.0 * qe * inv_eta * pq,
+            -q * inv_eta * pq)),
+        *(v[:, None] for v in (2.0 * (1.0 + ex ** 2) * pq_s / eta ** 2,
+                               2.0 - 2.0 * (1.0 + ex ** 2) * s2 / eta,
+                               2.0 * ex * s2)), None, None]
+    pin_index = None if pin is None else pin[0]
+    indices, indptr, pos, bounds = _jacobian_layout(nx, ny, grid.topology,
+                                                    pin_index)
+    vals = np.empty(pos.size)
+    for coef, (_, _, (ar, _, a, _), (br, _, b, _)), lo, hi in zip(
+            coefs, _jacobian_terms(nx, ny, grid.Dx, grid.Dxx, grid.Dq,
+                                   grid.Dqq, pin_index), bounds, bounds[1:]):
+        v = np.multiply.outer(a, b, out=vals[lo:hi].reshape(a.size, b.size))
+        if coef is not None:
+            v *= coef[ar[:, None], br]
+    data = np.bincount(pos, vals, indices.size)
+    bp = pos[bounds[8]:bounds[9]]  # bern_psi S, alone at its places
+    data[bp] = vals[bounds[8]:bounds[9]]  # zeros keep their signs
+    keep = data != 0.0
+    keep[bp] = True
+    kept = np.flatnonzero(keep)
+    return sp.csc_matrix((data[kept], indices[kept],
+                          np.searchsorted(kept, indptr)),
+                         shape=(indptr.size - 1,) * 2)
 
 
 class _FlatBlocks:
@@ -802,12 +838,16 @@ def dispersion_sigma(sol: StreamSolution, dist: VorticityDistribution, k):
     k is one wavenumber (giving a scalar) or an array (giving k's shape),
     all read off one integration. The step control sees every mode at
     once, so values agree with one-wavenumber integrations to the
-    integrator's tolerance, not bit for bit.
+    integrator's tolerance, not bit for bit. Raises StepFailure naming any
+    wavenumber whose sigma is not finite (the modes overflow near kh = 700).
     """
     ks = np.asarray(k, dtype=float)
     end = _dispersion_solve(sol, dist, ks).y[:, -1]
     uy_h, (f_h, fp_h) = end[1], np.split(end[2:], 2)
     sig = uy_h ** 2 * fp_h - (1.0 - uy_h * float(dist.omega(1.0))) * f_h
+    if not np.all(np.isfinite(sig)):
+        raise StepFailure(f"dispersion functional is not finite at k = "
+                          f"{ks.ravel()[~np.isfinite(sig)].tolist()}")
     return sig.reshape(ks.shape)[()]
 
 

@@ -228,6 +228,15 @@ class TestDispersion:
         assert [s["k"] for s in report["sigma"]] == ks.tolist()
         assert [s["sigma"] for s in report["sigma"]] == want.tolist()
 
+    def test_non_finite_sigma_fails(self, tmp_path, capsys):
+        # the modes of k = 700 overflow on h = 1 while the integration
+        # reports success
+        code, report, _, _ = _run(tmp_path, "dispersion",
+                                  dict(B2, k_values=[1.0, 700.0]))
+        assert code == 1
+        assert report is None
+        assert "not finite at k = [700.0]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [
         {"k_values": 3}, {"k_values": []}, {"k_values": [0.5, "1.5"]},
         {"k_values": [0.5, None]}, {"scan_points": 1},

@@ -273,6 +273,67 @@ def _wavy_state(sol, dist, grid):
     return st
 
 
+def _scipy_jacobian(psi, eta, parts, grid, dist, pin=None):
+    """The Jacobian as sp.kron factors, diags products and sp.bmat formed
+    it before the assembly on a cached pattern: the oracle of its bits."""
+    nx, ny, inner = grid.nx, grid.ny, slice(1, grid.ny)
+    Ix, col = sp.identity(nx, format="csr"), np.ones((ny - 1, 1))
+    Dq, Dqq = grid.Dq[inner, inner], grid.Dqq[inner, inner]
+    K_xx, K_qq, K_xq, K_q, E, E_x, E_xx, S = (
+        sp.kron(grid.Dxx, sp.identity(ny - 1, format="csr"), format="csr"),
+        sp.kron(Ix, Dqq, format="csr"), sp.kron(grid.Dx, Dq, format="csr"),
+        sp.kron(Ix, Dq, format="csr"),
+        *(sp.kron(D, col, format="csr") for D in (Ix, grid.Dx, grid.Dxx)),
+        sp.kron(Ix, grid.Dq[-1:, inner], format="csr"))
+    ex, exx, pq, pqq, pxq = parts.ex, parts.exx, parts.pq, parts.pqq, parts.pxq
+    q = grid.q[None, :]
+    inv_eta = 1.0 / eta[:, None]
+    qe = q * ex[:, None] * inv_eta
+    metric = 1.0 + (q * ex[:, None]) ** 2
+    pq_s = pq[:, ny]
+    s2 = (pq_s / eta) ** 2
+
+    def diag(coef):
+        return sp.diags(coef[:, inner].ravel())
+
+    J_pp = (K_xx + diag(metric * inv_eta ** 2) @ K_qq
+            + diag(-2.0 * qe) @ K_xq
+            + diag(q * (2.0 * (ex[:, None] * inv_eta) ** 2
+                        - exx[:, None] * inv_eta)) @ K_q
+            + sp.diags(np.asarray(dist.derivative(psi[:, inner]),
+                                  dtype=float).ravel()))
+    J_bp = S.multiply((2.0 * (1.0 + ex ** 2) * pq_s / eta ** 2)[:, None])
+    J_pe = (diag(-2.0 * metric * inv_eta ** 3 * pqq
+                 + 2.0 * qe * inv_eta * pxq
+                 + q * (exx[:, None] - 4.0 * ex[:, None] ** 2 * inv_eta)
+                 * inv_eta ** 2 * pq) @ E
+            + diag(2.0 * q * qe * inv_eta * pqq - 2.0 * q * inv_eta * pxq
+                   + 4.0 * qe * inv_eta * pq) @ E_x
+            + diag(-q * inv_eta * pq) @ E_xx)
+    J_be = (sp.diags(2.0 - 2.0 * (1.0 + ex ** 2) * s2 / eta)
+            + sp.diags(2.0 * ex * s2) @ grid.Dx)
+    if pin is None:
+        return sp.bmat([[J_pp, J_pe], [J_bp, J_be]], format="csr")
+    r_col = sp.csr_matrix(np.full((nx, 1), -3.0))
+    pin_row = sp.csr_matrix(([1.0], ([0], [pin[0]])), shape=(1, nx))
+    return sp.bmat([[J_pp, J_pe, None], [J_bp, J_be, r_col],
+                    [None, pin_row, None]], format="csr")
+
+
+def _assert_bits_match_the_oracle(grid, st, dist, pin=None):
+    """The assembled Jacobian against _scipy_jacobian's CSC arrays, the
+    signs of zeros included. Returns the assembled one."""
+    parts = _residual_parts(st.psi, st.eta, st.r, grid, dist)
+    J = _assemble_jacobian(st.psi, st.eta, parts, grid, dist, pin=pin)
+    ref = _scipy_jacobian(st.psi, st.eta, parts, grid, dist, pin=pin).tocsc()
+    assert J.format == "csc"
+    for a, b in ((J.indptr, ref.indptr), (J.indices, ref.indices),
+                 (J.data, ref.data), (np.signbit(J.data),
+                                      np.signbit(ref.data))):
+        assert np.array_equal(a, b)
+    return J
+
+
 class TestJacobian:
     def test_matches_central_differences(self, still_b2):
         grid = StripGrid(2.0, 8, 6, "periodic")
@@ -293,17 +354,74 @@ class TestJacobian:
                                             pin=(0, st.eta[0] + 0.01))
 
     def test_assembly_memory_scales_with_nonzeros(self, still_lin):
-        grid = StripGrid(3.0, 128, 64, "periodic")
-        st = perturbed_state(still_lin, LIN, 3.0, 128, 64, amplitude=0.006)
-        tracemalloc.start()
-        try:
-            parts = _residual_parts(st.psi, st.eta, st.r, grid, LIN)
-            J = _assemble_jacobian(st.psi, st.eta, parts, grid, LIN)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        csr_bytes = J.data.nbytes + J.indices.nbytes + J.indptr.nbytes
-        assert peak < 8.0 * csr_bytes
+        # cold: the first grid of the shape builds its layout inside the
+        # traced span; warm: a second grid of the shape reuses it
+        wavesolver._jacobian_layout.cache_clear()
+        for L in (3.0, 4.0):
+            grid = StripGrid(L, 128, 64, "periodic")
+            st = perturbed_state(still_lin, LIN, L, 128, 64, amplitude=0.006)
+            tracemalloc.start()
+            try:
+                parts = _residual_parts(st.psi, st.eta, st.r, grid, LIN)
+                J = _assemble_jacobian(st.psi, st.eta, parts, grid, LIN)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            csr_bytes = J.data.nbytes + J.indices.nbytes + J.indptr.nbytes
+            assert peak < 8.0 * csr_bytes
+        assert wavesolver._jacobian_layout.cache_info().misses == 1
+
+    @pytest.mark.parametrize("dist", [B2, LIN, QUAD, TAB],
+                             ids=lambda d: d.family)
+    @pytest.mark.parametrize("kind", ["flat", "rippled", "pinned-reflect"])
+    def test_bits_match_the_scipy_assembly(self, dist, kind):
+        sol = still_depth_family(dist)[0]
+        if kind == "pinned-reflect":
+            grid = StripGrid(2.0, 17, 12, "reflect")
+            st = _wavy_state(sol, dist, grid)
+            _assert_bits_match_the_oracle(grid, st, dist,
+                                          pin=(0, st.eta[0] + 0.01))
+            return
+        grid = StripGrid(2.0, 16, 12, "periodic")
+        st = flat_state(sol, dist, 2.0, 16, 12)
+        if kind == "rippled":
+            st.eta = _rippled(st, 0.02 * sol.depth)
+        J = _assert_bits_match_the_oracle(grid, st, dist)
+        if kind == "flat":
+            # eta_x = 0: the exact zeros of its terms are dropped
+            indices = wavesolver._jacobian_layout(16, 12, "periodic", None)[0]
+            assert J.nnz < indices.size
+
+    def test_zero_surface_derivative_keeps_explicit_zeros(self, moving_bm1):
+        # Psi = 1 on the top three q nodes of one column makes the one-sided
+        # Psi_q vanish exactly there, and the Bernoulli row's psi entries
+        # stay as explicit zeros
+        grid = StripGrid(2.0, 9, 6, "reflect")
+        st = _wavy_state(moving_bm1, BM1, grid)
+        st.psi[3, -3:] = 1.0
+        parts = _residual_parts(st.psi, st.eta, st.r, grid, BM1)
+        assert parts.pq[3, -1] == 0.0
+        J = _assert_bits_match_the_oracle(grid, st, BM1,
+                                          pin=(0, st.eta[0] + 0.01))
+        assert np.count_nonzero(J.data == 0.0) == 2
+
+    def test_layout_is_built_once_per_shape(self, moving_bm1):
+        layout = wavesolver._jacobian_layout
+        layout.cache_clear()
+        for L in (2.0, 3.0):
+            grid = StripGrid(L, 9, 6, "reflect")
+            st = _wavy_state(moving_bm1, BM1, grid)
+            _assert_matches_central_differences(grid, st, BM1,
+                                                pin=(0, st.eta[0] + 0.01))
+        assert layout.cache_info()[:2] == (1, 1)  # hits, misses
+        # another topology, pin index or no pin: a layout each
+        for topology, pin in (("periodic", 0), ("reflect", 2),
+                              ("reflect", None)):
+            grid = StripGrid(2.0, 9, 6, topology)
+            st = _wavy_state(moving_bm1, BM1, grid)
+            _assert_matches_central_differences(
+                grid, st, BM1, pin=None if pin is None else (pin, 1.0))
+        assert layout.cache_info()[:2] == (1, 4)
 
 
 def _singular_flat_solver(*args):
@@ -393,6 +511,15 @@ class TestDispersion:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(StepFailure, match="dispersion integration"):
             dispersion_sigma(still_b2, B2, 1000.0)
+
+    def test_non_finite_sigma_is_step_failure(self, still_b2):
+        # at k = 700 on h = 1 the integration reports success with f'(h)
+        # past the float maximum, and sigma would be nan
+        for k in (700.0, [1.0, 700.0]):
+            with pytest.raises(StepFailure,
+                               match=r"not finite at k = \[700\.0\]"):
+                dispersion_sigma(still_b2, B2, k)
+        assert math.isfinite(dispersion_sigma(still_b2, B2, 600.0))
 
     def test_moving_constant_closed_form(self, moving_bm1):
         s2 = math.sqrt(2.0)
