@@ -30,7 +30,7 @@ from .errors import DepthMismatch
 from .stream import StreamSolution
 from .vorticity import VorticityDistribution
 from .wavesolver import (FLAT_TOL, StripGrid, WaveState,
-                         _FlatBlocks, _difference_matrices, flat_state)
+                         _FlatModel, _difference_matrices, flat_state)
 
 __all__ = [
     "PerturbationFields",
@@ -256,7 +256,7 @@ def _solve_first_order_model(sol: StreamSolution, dist: VorticityDistribution,
 
     # the flat psi-block of the free-boundary Jacobian at depth h, one
     # tridiagonal block per rfft mode in x
-    solve = _FlatBlocks(grid, h ** -2.0, wp_col[1:ny]).at(grid._dxx_symbol)
+    solve = _FlatModel(ucol, h, grid, dist).at(grid._dxx_symbol)
     w_hat = solve(np.fft.rfft(rhs.T))
     w_int = np.fft.irfft(w_hat, nx).T
 

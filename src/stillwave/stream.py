@@ -114,11 +114,13 @@ def _cauchy_rhs(dist: VorticityDistribution):
     return rhs
 
 
-def _turning_event(terminal: bool = False):
-    """Event function of the system above that fires where U' vanishes."""
+def _turning_event(direction: float = 0.0):
+    """Terminal event function of the system above that fires where U'
+    vanishes; direction -1 keeps only the maxima of U."""
     def turning(y, st):
         return st[1]
-    turning.terminal = terminal
+    turning.terminal = True
+    turning.direction = direction
     return turning
 
 
@@ -224,7 +226,7 @@ def monotone_interval_lower(dist: VorticityDistribution, s0: float,
     if s0 < 1e-13:
         return 0.0
     sol = _integrate(dist, s0, -abs(horizon),
-                     events=(_turning_event(terminal=True),))
+                     events=(_turning_event(),))
     if not sol.success:
         raise StepFailure(f"backward integration failed: {sol.message}")
     if sol.t_events[0].size:
@@ -301,13 +303,12 @@ def still_depth_family(dist: VorticityDistribution, k_max: int = 0) -> list:
 def shear_solution(dist: VorticityDistribution, s: float) -> StreamSolution:
     """First depth at which the flow with bed slope s takes the value 1.
 
-    Works for both transversal crossings (moving surface) and tangential
-    arrivals (still surface). The search runs toward y = 10, then 100,
-    then 1000, and stops at the first crossing of 1: the steps up to it,
-    and so every tangential arrival before it, are those of the full run.
-    Raises ValueError when the flow provably oscillates below 1 or
-    exhausts the search limit, and StepFailure when the integrator fails
-    before the flow reaches 1.
+    The search runs toward y = 10, then 100, then 1000, and stops at the
+    first crossing of 1 (a moving surface) or maximum of U. U'' = -omega(U)
+    conserves U'^2 / 2 + Omega(U), so U never exceeds a maximum again: one
+    at 1 is a still surface, and one below 1 raises ValueError, as does an
+    exhausted search. Raises StepFailure when the integrator fails before
+    the flow reaches 1.
     """
 
     def reach(y, st):
@@ -315,20 +316,16 @@ def shear_solution(dist: VorticityDistribution, s: float) -> StreamSolution:
     reach.terminal = True
 
     for Y in (10.0, 100.0, 1000.0):
-        sol = _integrate(dist, s, Y, dense_output=True,
-                         events=(reach, _turning_event()))
-        candidates = [float(t) for t in sol.t_events[0] if t > 1e-12]
-        for t in sol.t_events[1]:
-            if t > 1e-12 and abs(float(sol.sol(t)[0]) - 1.0) <= 1e-6:
-                candidates.append(float(t))
+        sol = _integrate(dist, s, Y, events=(reach, _turning_event(-1.0)))
+        (crossings, peaks), (_, tops) = sol.t_events, sol.y_events
+        candidates = [float(t) for t in crossings if t > 1e-12]
+        candidates += [float(t) for t, (u, _) in zip(peaks, tops)
+                       if t > 1e-12 and abs(u - 1.0) <= 1e-6]
         if candidates:
             return _cut(dist, s, min(candidates))
         if not sol.success:
             raise StepFailure(f"integrator failed on [0, {Y}]: {sol.message}")
-        if sol.t_events[1].size >= 2:
-            # completed at least half a period without touching 1
-            top = float(np.max(sol.y[0]))
-            if top < 1.0 - 1e-6:
-                raise ValueError(
-                    f"flow oscillates below the surface value (max U = {top:.6g})")
+        if peaks.size:
+            raise ValueError(f"flow oscillates or falls away below the "
+                             f"surface value (max U = {tops[0, 0]:.6g})")
     raise ValueError("surface value 1 not reached within the search limit")

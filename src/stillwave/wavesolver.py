@@ -18,13 +18,12 @@ discretized with second-order centered differences in both directions
 (one-sided second-order stencils close the q boundary rows). Newton's
 method with an exact sparse Jacobian, summed into CSC on a pattern cached
 per grid shape, drives the coupled system, and every solve starts as
-chord steps on one reference Jacobian. Near-flat solves
-use the flat-state Jacobian, built from one stream column and the depth
-(_FlatSolver). It commutes with shifts in x and is solved mode by mode
-after an rfft in x, through one eigendecomposition in q shared by every
-mode (at any symbol of Dxx) and a Schur step on eta. Continuation off a
-bifurcation point pins the amplitude, releases the Bernoulli constant,
-seeds from those blocks and runs chord steps on one SuperLU factor.
+chord steps on one reference Jacobian. Near-flat solves use the
+flat-state Jacobian (_FlatModel, one per flow), solved mode by mode after
+an rfft in x through one eigendecomposition in q and a Schur step on eta.
+Continuation off a bifurcation point pins the amplitude, releases the
+Bernoulli constant, seeds from that model and runs chord steps on one
+SuperLU factor.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -497,19 +497,36 @@ def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
                          shape=(indptr.size - 1,) * 2)
 
 
-class _FlatBlocks:
-    """The blocks T(lam) = A + lam I of the psi-block at an x-independent
-    state, one per symbol lam of Dxx (StripGrid._dxx_symbol), with A =
-    c Dqq + diag(wprime) on the interior q nodes. c_qq = c is the same on
-    every node of such a state, so A is symmetric tridiagonal and one
-    eigendecomposition A = V diag(mu) V^T diagonalises every block (the
-    fast diagonalisation of Lynch, Rice & Thomas, Numer. Math. 6, 1964):
-    T(lam)^-1 = V diag(1 / (mu + lam)) V^T, with no pivots."""
+class _FlatModel:
+    """The Jacobian at the x-independent state of stream column col and
+    depth h, mode by mode in x (Strang, Stud. Appl. Math. 74, 1986; Chan,
+    SIAM J. Sci. Stat. Comput. 9, 1988). It reads only grid's q operators,
+    so one model serves every period on ny. The mode of Dxx symbol lam
+    (StripGrid._dxx_symbol) holds T(lam) = c Dqq + diag(omega'(col)) + lam I
+    on the interior q nodes, bordered by the eta column, the Bernoulli row
+    (border) and the corner bern_eta. One eigendecomposition V diag(mu) V^T
+    of the symmetric tridiagonal T(0) solves every block with no pivots
+    (Lynch, Rice & Thomas, Numer. Math. 6, 1964). The eta column and the
+    border are built like _assemble_jacobian's, on numpy arrays (whose
+    powers round unlike Python's), so they are bit-identical to it.
+    """
 
-    def __init__(self, grid: StripGrid, c: float, wprime):
-        Dqq = grid.Dqq[1:grid.ny, 1:grid.ny]
-        self.mu, self.V = eigh_tridiagonal(c * Dqq.diagonal() + wprime,
-                                           c * Dqq.diagonal(1))
+    def __init__(self, col, h, grid: StripGrid, dist):
+        inner = slice(1, grid.ny)
+        pq, pqq = grid.Dq @ col, grid.Dqq @ col
+        eta = np.full(1, h)
+        inv_eta = 1.0 / eta
+        c, Dqq = inv_eta ** 2, grid.Dqq[inner, inner]
+        self.mu, self.V = eigh_tridiagonal(
+            c * Dqq.diagonal()
+            + np.asarray(dist.derivative(col[inner]), dtype=float),
+            c * Dqq.diagonal(1))
+        # the eta column at lam is column[0] + column[1] lam
+        self.column = ((-2.0 * inv_eta ** 3 * pqq[inner])[:, None],
+                       (-grid.q[inner] * inv_eta * pq[inner])[:, None])
+        pq_s = pq[grid.ny]
+        self.bern_eta = 2.0 - 2.0 * (pq_s / eta) ** 2 / eta
+        self.border = 2.0 * pq_s / eta ** 2 * grid.Dq[-1, inner].toarray()[0]
 
     def at(self, lam):
         """rhs -> T(lam[m])^-1 rhs[:, m] for each m, rhs real or complex;
@@ -521,62 +538,40 @@ class _FlatBlocks:
                                "is singular")
         return lambda rhs: self.V @ ((self.V.T @ rhs) / denom)
 
+    def response(self, lam):
+        """Y[:, m] = T(lam[m])^-1 (eta column at lam[m]): minus psi's
+        response to a unit eta in the mode of lam[m]."""
+        return self.at(lam)(self.column[0] + self.column[1] * lam)
 
-def _eta_response(col, h, grid: StripGrid, dist, lam):
-    """The flat psi-blocks of stream column col and depth h, solved at lam
-    (_FlatBlocks.at); Y[:, m] = T(lam[m])^-1 (eta column), minus psi's
-    response to a unit eta in the mode of lam[m]; and Psi_q = Dq col. The
-    eta column is built like _assemble_jacobian's, on numpy arrays (whose
-    powers round unlike Python's), so it is bit-identical to it."""
-    inner = slice(1, grid.ny)
-    pq, pqq = grid.Dq @ col, grid.Dqq @ col
-    inv_eta = 1.0 / np.full(1, h)
-    solve = _FlatBlocks(grid, inv_eta ** 2, np.asarray(
-        dist.derivative(col[inner]), dtype=float)).at(lam)
-    column = ((-2.0 * inv_eta ** 3 * pqq[inner])[:, None]
-              + (-grid.q[inner] * inv_eta * pq[inner])[:, None] * lam)
-    return solve, solve(column), pq
+    def schur(self, lam):
+        """The Schur complements bern_eta - border Y(lam): the discrete
+        dispersion functional, which vanishes where mode lam of the flat
+        Jacobian is singular."""
+        return self.bern_eta - self.border @ self.response(lam)
 
-
-class _FlatSolver:
-    """The Jacobian at the x-independent state of stream column col and
-    depth h, solved mode by mode in x.
-
-    That Jacobian commutes with shifts in x (Strang, Stud. Appl. Math. 74,
-    1986; Chan, SIAM J. Sci. Stat. Comput. 9, 1988): after an rfft in x,
-    mode m holds the block T(lam_m) (lam_m the symbol of Dxx) bordered by
-    the eta column, the Bernoulli row bern_psi S and the corner bern_eta.
-    To _eta_response's block solve and Y this adds the border, built the same
-    way, and the Schur complements bern_eta - bern_psi S Y_m; a singular
-    block or Schur complement raises RuntimeError. A solve is an rfft, one
-    block solve, the Schur step and an irfft.
-    """
-
-    def __init__(self, col, h, grid: StripGrid, dist):
-        self.nx = grid.nx
-        self.block_solve, self.Y, pq = _eta_response(col, h, grid, dist,
-                                                     grid._dxx_symbol)
-        pq_s, eta = pq[grid.ny], np.full(1, h)
-        bern_eta = 2.0 - 2.0 * (pq_s / eta) ** 2 / eta
-        self.border = (2.0 * pq_s / eta ** 2
-                       * grid.Dq[-1, 1:grid.ny].toarray()[0])
-        self.schur = bern_eta - self.border @ self.Y
-        if not np.all(np.abs(self.schur)
-                      > np.finfo(float).eps * np.abs(bern_eta)):
+    def solver(self, grid: StripGrid):
+        """The Jacobian on grid, as an object whose solve(b) is an rfft in
+        x, one block solve, the Schur step and an irfft. Raises
+        RuntimeError when a block or a Schur complement is singular."""
+        nx, lam = grid.nx, grid._dxx_symbol
+        block_solve, Y = self.at(lam), self.response(lam)
+        schur = self.bern_eta - self.border @ Y
+        if not np.all(np.abs(schur)
+                      > np.finfo(float).eps * np.abs(self.bern_eta)):
             raise RuntimeError("flat Jacobian is singular: a Schur "
                                "complement vanishes")
 
-    def solve(self, b):
-        nx = self.nx
-        n_int = b.size - nx
-        f = np.empty((n_int // nx + 1, nx))
-        f[:-1], f[-1] = b[:n_int].reshape(nx, -1).T, b[n_int:]
-        f = np.fft.rfft(f)
-        z = self.block_solve(f[:-1])
-        f[-1] = (f[-1] - self.border @ z) / self.schur
-        f[:-1] = z - self.Y * f[-1]
-        out = np.fft.irfft(f, nx)
-        return np.concatenate([out[:-1].T.ravel(), out[-1]])
+        def solve(b):
+            n_int = b.size - nx
+            f = np.empty((n_int // nx + 1, nx))
+            f[:-1], f[-1] = b[:n_int].reshape(nx, -1).T, b[n_int:]
+            f = np.fft.rfft(f)
+            z = block_solve(f[:-1])
+            f[-1] = (f[-1] - self.border @ z) / schur
+            f[:-1] = z - Y * f[-1]
+            out = np.fft.irfft(f, nx)
+            return np.concatenate([out[:-1].T.ravel(), out[-1]])
+        return SimpleNamespace(solve=solve)
 
 
 def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
@@ -589,11 +584,10 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
     Bernoulli constant r is released and eta[pin0] = pin1 is enforced.
 
     reference, when given, is called before the first step for a solver
-    (an object with solve: a _FlatSolver or a SuperLU factor) of a
+    (an object with solve: a _FlatModel.solver or a SuperLU factor) of a
     Jacobian near the solution, and the iteration starts as the chord
     method on it (Kelley, Iterative Methods for Linear and Nonlinear
-    Equations, SIAM 1995, ch. 5): dz = -lu.solve(F), full
-    steps only. A chord step is accepted when it keeps the surface
+    Equations, SIAM 1995, ch. 5): dz = -lu.solve(F), full steps only. A chord step is accepted when it keeps the surface
     positive and reaches tol or contracts max|F| by CHORD_CONTRACTION.
     Otherwise, and when reference raises RuntimeError (an exactly singular
     Jacobian), that same iteration and every later one take the exact
@@ -690,19 +684,17 @@ def newton_solve(state: WaveState, dist: VorticityDistribution,
 
     The Bernoulli constant r is held fixed at state.r. The steps start as
     chord steps on the Jacobian at the x-average of the initial state,
-    which for a perturbed_state is the flat state to roundoff. That
-    Jacobian is solved through its Fourier blocks (a _FlatSolver of the
-    mean column and mean depth, with no sparse factorization), built only
-    if a step is needed, and a chord step that does not contract hands
-    the solve to exact Newton (see _newton_core). Raises NewtonDiverged
-    or SurfaceCollapse on failure.
+    which for a perturbed_state is the flat state to roundoff: the
+    _FlatModel of the mean column and mean depth, solved through its
+    Fourier blocks and built only if a step is needed. A chord step that
+    does not contract hands the solve to exact Newton (see _newton_core).
+    Raises NewtonDiverged or SurfaceCollapse on failure.
     """
     grid = StripGrid(state.period_L, state.nx, state.ny, "periodic")
-    reference = partial(_FlatSolver, state.psi.mean(axis=0),
-                        state.eta.mean(), grid, dist)
+    col, h = state.psi.mean(axis=0), state.eta.mean()
     psi, eta, r, its, parts = _newton_core(
         state.psi, state.eta, state.r, grid, dist, tol, max_iter,
-        reference=reference)
+        reference=lambda: _FlatModel(col, h, grid, dist).solver(grid))
     out = WaveState(period_L=state.period_L, nx=state.nx, ny=state.ny,
                     psi=psi, eta=eta, r=r)
     return NewtonResult(state=out, iterations=its, norms=_norms(parts))
@@ -723,16 +715,12 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
     amplitudes or wavelengths list. flat_tol must be a positive finite
     number (ValueError otherwise). All are checked before any solve.
 
-    The flat state is built once, since only its period depends on the
-    wavelength. One loop runs over the distinct wavelengths. For each it
-    builds the grid and solves every distinct amplitude by chord
-    Newton on the Fourier-block solver of the flat-state Jacobian
-    (_FlatSolver of the flat column and h, no sparse factorization),
-    built on the first case that takes a step (exact Newton where a chord
-    step does not contract or the Jacobian is singular; see _newton_core).
-    The cache keeps no exception, so a singular build is retried, and
-    logged, on each case. Entries come back in sorted (amplitude,
-    wavelength) order, duplicates included.
+    The flat state and, once a case takes a step, its _FlatModel are built
+    once per call. Each distinct wavelength gets its grid and the model's
+    solver, on which every distinct amplitude runs chord Newton (see
+    _newton_core). The caches keep no exception, so a singular build is
+    retried, and logged, on each case. Entries come back in sorted
+    (amplitude, wavelength) order, duplicates included.
     """
     if not 0.0 < flat_tol < math.inf:
         raise ValueError(
@@ -759,10 +747,13 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
     report = check_hypotheses(dist, sol, slope_cap)
     solved = {}
     flat = flat_state(sol, dist, cases[0][1], nx, ny)
+    # both read grid late: the model needs only the q operators, which
+    # every grid here shares, and each case solves on its own grid
+    model = cache(lambda: _FlatModel(flat.psi[0], h, grid, dist))
     for L in dict.fromkeys(L for _, L in cases):
         grid = StripGrid(L, nx, ny, "periodic")
         flat = replace(flat, period_L=L)
-        reference = cache(partial(_FlatSolver, flat.psi[0], h, grid, dist))
+        reference = cache(lambda: model().solver(grid))
         for a in dict.fromkeys(a for a, _ in cases):
             entry = {"amplitude": a, "wavelength": L,
                      "converged_to_flat": False, "final_max_zeta": math.nan,
@@ -960,13 +951,11 @@ def bifurcation_branch(sol: StreamSolution, dist: VorticityDistribution,
     pinned at h + amplitude and the Bernoulli constant released, which
     removes the horizontal-translation null direction. The seed is the
     discrete linear mode, with no IVP: the grid's flat_state (and its r)
-    plus amplitude cos(kx) on eta and its response (_eta_response) on psi.
+    plus amplitude cos(kx) on eta and its _FlatModel response on psi.
     Newton gets up to 60 iterations, which start as chord steps on one
-    SuperLU factor of the bordered Jacobian at the seed; a chord step that
-    does not contract hands the solve to exact damped steps (see
-    _newton_core). So one factorization usually serves the whole call, and
-    iterations counts chord steps, which take more iterations than exact
-    Newton to the same tolerance. The result is unfolded to the full grid.
+    SuperLU factor of the bordered Jacobian at the seed (see _newton_core),
+    so one factorization usually serves the whole call and iterations
+    counts chord steps. The result is unfolded to the full grid.
     Raises ValueError unless 0 < k < inf, 0 < amplitude < inf and nx is
     even and at least 6 (the half grid has nx/2 + 1 nodes), or when the
     flat psi-block is singular at k; NewtonDiverged when Newton lands on
@@ -985,8 +974,8 @@ def bifurcation_branch(sol: StreamSolution, dist: VorticityDistribution,
     h = sol.depth
     flat = flat_state(sol, dist, L, nxh, ny)
     try:  # cos(kx) is the grid's mode 1
-        _, Y, _ = _eta_response(flat.psi[0], h, grid, dist,
-                                grid._dxx_symbol[1:2])
+        Y = _FlatModel(flat.psi[0], h, grid,
+                       dist).response(grid._dxx_symbol[1:2])
     except RuntimeError as exc:
         raise ValueError(f"no linear seed at k={k:.6g} on the {nx}x{ny} "
                          f"grid: {exc}") from exc

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -456,7 +457,7 @@ class TestNewton:
         # the flat reference raises, so the solve takes exact steps on the
         # zero Jacobian, whose SuperLU factor fails
         monkeypatch.setattr(wavesolver, "_assemble_jacobian", zero_jacobian)
-        monkeypatch.setattr(wavesolver, "_FlatSolver", _singular_flat_solver)
+        monkeypatch.setattr(wavesolver, "_FlatModel", _singular_flat_solver)
         st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
         with pytest.raises(NewtonDiverged, match="singular"):
             newton_solve(st, B2)
@@ -481,7 +482,8 @@ class TestNewton:
         # complement is exactly 0 (at ny = 12 roundoff leaves 5.5e-15)
         st = perturbed_state(still_b2, B2, 2.0, 16, 16, amplitude=0.01)
         grid = StripGrid(2.0, 16, 16)
-        singular = partial(wavesolver._FlatSolver, grid.q, 1.0, grid, B2)
+        def singular():
+            return wavesolver._FlatModel(grid.q, 1.0, grid, B2).solver(grid)
         with pytest.raises(RuntimeError, match="singular"):
             singular()
         chord = _newton_core(st.psi, st.eta, st.r, grid, B2, 1e-10, 40,
@@ -712,7 +714,8 @@ class TestBifurcationBranch:
         (k,) = find_bifurcation_points(sol, dist)
         res = bifurcation_branch(sol, dist, k, amplitude=amplitude,
                                  nx=128, ny=64)
-        assert factorizations == {"splu": 1, "flat": 0}
+        # the flat model builds the seed; no chord step solves on it
+        assert factorizations == {"splu": 1, "flat": 1}
         assert res.norms.max() < 1e-9
         exact = _exact_branch(monkeypatch, sol, dist, k, amplitude=amplitude,
                               nx=128, ny=64)
@@ -730,8 +733,9 @@ class TestBifurcationBranch:
         it, before, after = rejected.args
         assert rejected.msg.startswith("chord step rejected")
         assert it >= 1 and after > wavesolver.CHORD_CONTRACTION * before
-        # the seed factor, then one per exact step from the rejection on
-        assert factorizations == {"splu": 1 + res.iterations - it, "flat": 0}
+        # the seed factor, then one per exact step from the rejection on;
+        # the flat model builds the seed
+        assert factorizations == {"splu": 1 + res.iterations - it, "flat": 1}
         exact = _exact_branch(monkeypatch, moving_bm1, BM1, BIFURCATION_K,
                               amplitude=0.02, nx=64, ny=32)
         assert res.iterations == exact.iterations
@@ -806,7 +810,7 @@ class TestBifurcationBranch:
         def singular(*args):
             raise RuntimeError("a Fourier block is singular")
 
-        monkeypatch.setattr(wavesolver, "_FlatBlocks", singular)
+        monkeypatch.setattr(wavesolver, "_FlatModel", singular)
         with pytest.raises(ValueError, match=r"no linear seed at k=1\.10574 "
                            r"on the 16x8 grid: a Fourier block is singular"):
             bifurcation_branch(moving_bm1, BM1, BIFURCATION_K, nx=16, ny=8)
@@ -901,7 +905,7 @@ _STILL_FLOWS = st.one_of(
 @pytest.fixture
 def factorizations(monkeypatch):
     """Counts every SuperLU factorization ("splu") and every flat-state
-    reference build ("flat") the solver makes."""
+    model build ("flat") the solver makes."""
     count = {"splu": 0, "flat": 0}
 
     def counting(name, fn):
@@ -912,8 +916,8 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(wavesolver, "splu",
                         counting("splu", wavesolver.splu))
-    monkeypatch.setattr(wavesolver, "_FlatSolver",
-                        counting("flat", wavesolver._FlatSolver))
+    monkeypatch.setattr(wavesolver, "_FlatModel",
+                        counting("flat", wavesolver._FlatModel))
     return count
 
 
@@ -930,7 +934,8 @@ class TestChord:
                                  wavelengths=[4.0, 2.0], slope_cap=1.0,
                                  nx=32, ny=16)
         assert rep.verdict == VERDICT_CONSISTENT
-        assert factorizations == {"splu": 0, "flat": 2}
+        # one flat model serves both wavelengths
+        assert factorizations == {"splu": 0, "flat": 1}
 
     @pytest.mark.parametrize("nx, ny", [(32, 16), (64, 32)])
     @pytest.mark.parametrize("dist", [B2, LIN, QUAD, TAB],
@@ -998,7 +1003,7 @@ class TestChord:
         # functools.cache keeps no exception, so every case of the
         # wavelength retries the build, logs it and takes exact steps
         caplog.set_level(logging.DEBUG, logger="stillwave")
-        monkeypatch.setattr(wavesolver, "_FlatSolver", _singular_flat_solver)
+        monkeypatch.setattr(wavesolver, "_FlatModel", _singular_flat_solver)
         amps, L, nx, ny = [0.01, 0.02], 2.0, 32, 16
         rep = nonexistence_sweep(still_b2, B2, amps, [L], slope_cap=1.0,
                                  nx=nx, ny=ny)
@@ -1020,7 +1025,8 @@ def _assert_flat_solver_matches_splu(flat, dist):
     the SuperLU factor of its sparse assembly, on random right-hand sides."""
     nx, ny = flat.nx, flat.ny
     grid = StripGrid(flat.period_L, nx, ny)
-    solver = wavesolver._FlatSolver(flat.psi[0], flat.eta[0], grid, dist)
+    solver = wavesolver._FlatModel(flat.psi[0], flat.eta[0], grid,
+                                   dist).solver(grid)
     parts = _residual_parts(flat.psi, flat.eta, flat.r, grid, dist)
     lu = wavesolver._factor(
         _assemble_jacobian(flat.psi, flat.eta, parts, grid, dist))
@@ -1060,7 +1066,8 @@ class TestFlatSolver:
         # second pivot under elimination without pivoting
         nx, ny = 16, 16
         grid = StripGrid(2.0, nx, ny)
-        blocks = wavesolver._FlatBlocks(grid, 1.0, np.full(ny - 1, ny ** 2.0))
+        blocks = wavesolver._FlatModel(grid.q, 1.0, grid,
+                                       LinearVorticity(b=float(ny ** 2)))
         # the periodic grid's symbols, then -k^2 at a k that no mode of
         # this grid has
         lam = np.append(grid._dxx_symbol, -1.3 ** 2)
@@ -1109,6 +1116,62 @@ class TestFlatSolver:
                                          reference=lu)
         assert res.iterations == its
         assert np.max(np.abs(res.state.eta - eta)) <= 1e-12
+
+    @pytest.mark.parametrize("dist, s", [(BM1, 0.0),
+                                         (LinearVorticity(b=-1.0), 0.5)],
+                             ids=["criterion_6", "linear"])
+    def test_discrete_root_converges_at_second_order(self, dist, s):
+        # the Schur complement sigma_h(lam) = bern_eta - border Y(lam)
+        # vanishes at lam* = -k_h^2, the discrete dispersion root, which
+        # depends only on ny; k_h tends to the bisected root as ny^-2
+        if dist is BM1:
+            root = BIFURCATION_K
+        else:  # U = s sinh y, f = sinh(m y) / m with m^2 = 1 + k^2
+            h = math.asinh(1.0 / s)
+            uy = s * math.cosh(h)
+
+            def sigma(k):
+                m = math.sqrt(1.0 + k * k)
+                return (uy ** 2 * math.cosh(m * h)
+                        - (1.0 + uy) * math.sinh(m * h) / m)
+            root = brentq(sigma, 0.5, 2.0, xtol=1e-15)
+        sol = shear_solution(dist, s)
+        errors = []
+        for ny in (8, 16, 32, 64, 128):
+            grid = StripGrid(1.0, 4, ny)
+            model = wavesolver._FlatModel(
+                flat_state(sol, dist, 1.0, 4, ny).psi[0], sol.depth, grid,
+                dist)
+            lam = brentq(lambda lam: model.schur(np.array([lam]))[0],
+                         -(root + 0.5) ** 2, -(root - 0.5) ** 2)
+            errors.append(math.sqrt(-lam) - root)
+        ratios = np.array(errors[:-1]) / errors[1:]
+        assert np.all((3.5 <= ratios) & (ratios <= 4.5)), (errors, ratios)
+
+    def test_one_eigendecomposition_per_flow(self, still_b2, moving_bm1,
+                                             monkeypatch):
+        # the q-blocks depend on the column, h and ny, not on the period:
+        # a sweep over two wavelengths, a Newton solve and a continuation
+        # each decompose once
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].size)
+            return eigh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(wavesolver, "eigh_tridiagonal", counted)
+        rep = nonexistence_sweep(still_b2, B2, amplitudes=[0.01, 0.02],
+                                 wavelengths=[4.0, 2.0], slope_cap=1.0,
+                                 nx=32, ny=16)
+        assert all(c["newton_iterations"] > 0 for c in rep.cases)
+        assert calls == [15]
+        calls.clear()
+        newton_solve(perturbed_state(still_b2, B2, 2.0, 32, 16, 0.01), B2)
+        assert calls == [15]
+        calls.clear()
+        bifurcation_branch(moving_bm1, BM1, BIFURCATION_K, amplitude=0.02,
+                           nx=64, ny=32)
+        assert calls == [31]
 
 
 def test_import_installs_no_log_handler():
