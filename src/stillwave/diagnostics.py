@@ -127,18 +127,14 @@ def windowed_norm(values: np.ndarray, t: float, p: float,
 
 def _copy_weight(x: np.ndarray, t: float, delta: float,
                  period_L: float) -> np.ndarray:
-    """Sum of exp(-delta |t - (x + m L)|) over periodic copies m.
-
-    Copies are truncated once their peak contribution drops below 1e-16,
-    which bounds the truncation by one part in 1e16 of the total.
-    """
+    """Sum of exp(-delta |t - (x + m L)|) over all periodic copies m, in
+    closed form: with d = (t - x) mod L the copies at or behind t and those
+    ahead of it are two geometric series of ratio exp(-delta L)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    span = -math.log(1e-16) / delta
-    m_lo = int(math.floor((t - span - float(np.max(x))) / period_L))
-    m_hi = int(math.ceil((t + span - float(np.min(x))) / period_L))
-    ms = np.arange(m_lo, m_hi + 1)
-    return np.exp(-delta * np.abs(t - (x[:, None] + ms[None, :] * period_L))).sum(axis=1)
+    d = np.mod(t - x, period_L)
+    return ((np.exp(-delta * d) + np.exp(-delta * (period_L - d)))
+            / -math.expm1(-delta * period_L))
 
 
 def _physical_gradient(field: np.ndarray, fields: PerturbationFields):

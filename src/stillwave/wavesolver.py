@@ -290,8 +290,8 @@ def flat_state(sol: StreamSolution, dist: VorticityDistribution,
     """The stream solution written as a periodic wave state (eta = h).
 
     The column is polished into the exact discrete vertical solution and
-    r is set from the discrete surface derivative, so the returned state
-    is a fixed point of newton_solve up to roundoff.
+    r is set from Psi_q(h) by the grid's own one-sided Dq, so the state
+    meets its Bernoulli rows to an ulp of 3 r: a fixed point of newton_solve.
     """
     h = sol.depth
     q = np.linspace(0.0, 1.0, ny + 1)
@@ -299,8 +299,7 @@ def flat_state(sol: StreamSolution, dist: VorticityDistribution,
     col = _polish_flat_column(col, h, ny, dist)
     psi = np.tile(col, (nx, 1))
     eta = np.full(nx, h)
-    dq = 1.0 / ny
-    pq_s = (3.0 * col[-1] - 4.0 * col[-2] + col[-3]) / (2.0 * dq)
+    pq_s = (_difference_matrices(ny + 1, 1.0 / ny, "one-sided")[0] @ col)[-1]
     r = ((pq_s / h) ** 2 + 2.0 * h) / 3.0
     return WaveState(period_L=float(period_L), nx=nx, ny=ny, psi=psi,
                      eta=eta, r=r)
@@ -323,7 +322,7 @@ def _rippled(state: WaveState, amplitude: float, mode: int = 1) -> np.ndarray:
 
 
 class _ResidualParts(NamedTuple):
-    """Residual rows of one state and the derivatives its Jacobian reuses."""
+    """Residual rows of one state and the fields its Jacobian reuses."""
     pde: np.ndarray        # (nx, ny - 1), interior collocation rows
     bern: np.ndarray       # (nx,)
     bottom: np.ndarray     # (nx,)
@@ -333,6 +332,9 @@ class _ResidualParts(NamedTuple):
     pq: np.ndarray         # (nx, ny + 1), Psi_q
     pqq: np.ndarray        # (nx, ny + 1), Psi_qq
     pxq: np.ndarray        # (nx, ny + 1), Psi_xq
+    c_qq: np.ndarray       # (nx, ny + 1), the mapped Laplacian's
+    c_xq: np.ndarray       # coefficients of Psi_qq, Psi_xq and Psi_q
+    c_q: np.ndarray
 
 
 def _residual_parts(psi, eta, r, grid: StripGrid,
@@ -358,7 +360,7 @@ def _residual_parts(psi, eta, r, grid: StripGrid,
     bern = (1.0 + ex ** 2) * (pq[:, ny] / eta) ** 2 + 2.0 * eta - 3.0 * r
     return _ResidualParts(pde=pde, bern=bern, bottom=psi[:, 0],
                           top=psi[:, ny] - 1.0, ex=ex, exx=exx, pq=pq,
-                          pqq=pqq, pxq=pxq)
+                          pqq=pqq, pxq=pxq, c_qq=c_qq, c_xq=c_xq, c_q=c_q)
 
 
 def _residual_vec(parts: _ResidualParts) -> np.ndarray:
@@ -437,45 +439,49 @@ def _jacobian_layout(nx: int, ny: int, topology: str, pin_index):
             np.cumsum([0] + [k.size for k in keys]))
 
 
-def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
-                       dist, pin: Optional[tuple] = None):
-    """Jacobian of [pde rows; bernoulli rows] wrt [interior psi; eta], exact
-    and sparse, in CSC. The psi-block is K_xx + diag(c_qq) K_qq + diag(c_xq)
-    K_xq + diag(c_q) K_q + diag(omega'(Psi)). A pde row depends on eta only
-    through eta, eta_x and eta_xx at its own x node, so the eta-block is
-    diag(d_eta) E + diag(d_ex) E_x + diag(d_exx) E_xx, with d_* the
-    derivatives of c_qq, c_xq and c_q times the Psi terms they scale (E
-    spreads each x node over its interior rows). The Bernoulli rows are
-    diag(bern_psi) S and diag(bern_eta) + diag(bern_ex) Dx. With pin =
-    (index, value) the system is bordered: r joins the unknowns and the
-    equation eta[index] = value joins the rows. Each K is a kron of the
-    grid's difference matrices (_jacobian_terms), on a pattern cached per
-    grid shape (_jacobian_layout); the terms are summed in the order above
-    by one bincount (Cuvelier, Japhet & Scarella, BIT Numer. Math. 56,
-    2016), and exact zeros go, except in bern_psi S.
-    """
-    nx, ny, inner = grid.nx, grid.ny, slice(1, grid.ny)
-    ex, exx, pq, pqq, pxq = parts.ex, parts.exx, parts.pq, parts.pqq, parts.pxq
-    q = grid.q[None, :]
+def _linear_coefficients(q, eta, ex, exx, pq, pqq, pxq):
+    """d_eta, d_ex, d_exx (shaped like pq) and bern_psi, bern_eta, bern_ex
+    (like eta) of _assemble_jacobian, at a state with the fields of
+    _ResidualParts and q = grid.q as a row."""
     inv_eta = 1.0 / eta[:, None]
     qe = q * ex[:, None] * inv_eta
-    metric = 1.0 + (q * ex[:, None]) ** 2
-    pq_s = pq[:, ny]
-    s2 = (pq_s / eta) ** 2
-    coefs = [None, *(c[:, inner] for c in (
-        metric * inv_eta ** 2, -2.0 * qe,
-        q * (2.0 * (ex[:, None] * inv_eta) ** 2 - exx[:, None] * inv_eta))),
-        np.asarray(dist.derivative(psi[:, inner]), dtype=float),
-        *(c[:, inner] for c in (
-            -2.0 * metric * inv_eta ** 3 * pqq + 2.0 * qe * inv_eta * pxq
+    pq_s, s2 = pq[:, -1], (pq[:, -1] / eta) ** 2
+    return (-2.0 * (1.0 + (q * ex[:, None]) ** 2) * inv_eta ** 3 * pqq
+            + 2.0 * qe * inv_eta * pxq
             + q * (exx[:, None] - 4.0 * ex[:, None] ** 2 * inv_eta)
             * inv_eta ** 2 * pq,
             2.0 * q * qe * inv_eta * pqq - 2.0 * q * inv_eta * pxq
             + 4.0 * qe * inv_eta * pq,
-            -q * inv_eta * pq)),
-        *(v[:, None] for v in (2.0 * (1.0 + ex ** 2) * pq_s / eta ** 2,
-                               2.0 - 2.0 * (1.0 + ex ** 2) * s2 / eta,
-                               2.0 * ex * s2)), None, None]
+            -q * inv_eta * pq,
+            2.0 * (1.0 + ex ** 2) * pq_s / eta ** 2,
+            2.0 - 2.0 * (1.0 + ex ** 2) * s2 / eta,
+            2.0 * ex * s2)
+
+
+def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
+                       dist, pin: Optional[tuple] = None):
+    """Jacobian of [pde rows; bernoulli rows] wrt [interior psi; eta], exact
+    and sparse, in CSC. The psi-block is K_xx + diag(c_qq) K_qq + diag(c_xq)
+    K_xq + diag(c_q) K_q + diag(omega'(Psi)), the c_* read off parts. A pde
+    row depends on eta only through eta, eta_x and eta_xx at its own x node,
+    so the eta-block is diag(d_eta) E + diag(d_ex) E_x + diag(d_exx) E_xx (E
+    spreads each x node over its interior rows). The Bernoulli rows are
+    diag(bern_psi) S and diag(bern_eta) + diag(bern_ex) Dx, with d_* and
+    bern_* from _linear_coefficients. With pin = (index, value) the system
+    is bordered: r joins the unknowns and the equation eta[index] = value
+    joins the rows. Each K is a kron of the grid's difference matrices
+    (_jacobian_terms), on a pattern cached per grid shape
+    (_jacobian_layout); the terms are summed in the order above by one
+    bincount (Cuvelier, Japhet & Scarella, BIT Numer. Math. 56, 2016), and
+    exact zeros go, except in bern_psi S.
+    """
+    nx, ny, inner = grid.nx, grid.ny, slice(1, grid.ny)
+    d = _linear_coefficients(grid.q[None, :], eta, parts.ex, parts.exx,
+                             parts.pq, parts.pqq, parts.pxq)
+    coefs = [None, *(c[:, inner] for c in (parts.c_qq, parts.c_xq, parts.c_q)),
+             np.asarray(dist.derivative(psi[:, inner]), dtype=float),
+             *(c[:, inner] for c in d[:3]), *(v[:, None] for v in d[3:]),
+             None, None]
     pin_index = None if pin is None else pin[0]
     indices, indptr, pos, bounds = _jacobian_layout(nx, ny, grid.topology,
                                                     pin_index)
@@ -504,29 +510,25 @@ class _FlatModel:
     so one model serves every period on ny. The mode of Dxx symbol lam
     (StripGrid._dxx_symbol) holds T(lam) = c Dqq + diag(omega'(col)) + lam I
     on the interior q nodes, bordered by the eta column, the Bernoulli row
-    (border) and the corner bern_eta. One eigendecomposition V diag(mu) V^T
-    of the symmetric tridiagonal T(0) solves every block with no pivots
-    (Lynch, Rice & Thomas, Numer. Math. 6, 1964). The eta column and the
-    border are built like _assemble_jacobian's, on numpy arrays (whose
-    powers round unlike Python's), so they are bit-identical to it.
+    (border) and the corner bern_eta, all from _linear_coefficients at
+    eta_x = eta_xx = Psi_xq = 0. One eigendecomposition V diag(mu) V^T of
+    the symmetric tridiagonal T(0) solves every block with no pivots
+    (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
     """
 
     def __init__(self, col, h, grid: StripGrid, dist):
-        inner = slice(1, grid.ny)
-        pq, pqq = grid.Dq @ col, grid.Dqq @ col
-        eta = np.full(1, h)
-        inv_eta = 1.0 / eta
-        c, Dqq = inv_eta ** 2, grid.Dqq[inner, inner]
+        inner, zero, eta = slice(1, grid.ny), np.zeros(1), np.full(1, h)
+        d_eta, _, d_exx, bern_psi, self.bern_eta, _ = _linear_coefficients(
+            grid.q[None, :], eta, zero, zero, (grid.Dq @ col)[None, :],
+            (grid.Dqq @ col)[None, :], zero)
+        # the eta column at lam is column[0] + column[1] lam
+        self.column = (d_eta[:, inner].T, d_exx[:, inner].T)
+        self.border = bern_psi * grid.Dq[-1, inner].toarray()[0]
+        c, Dqq = (1.0 / eta) ** 2, grid.Dqq[inner, inner]
         self.mu, self.V = eigh_tridiagonal(
             c * Dqq.diagonal()
             + np.asarray(dist.derivative(col[inner]), dtype=float),
             c * Dqq.diagonal(1))
-        # the eta column at lam is column[0] + column[1] lam
-        self.column = ((-2.0 * inv_eta ** 3 * pqq[inner])[:, None],
-                       (-grid.q[inner] * inv_eta * pq[inner])[:, None])
-        pq_s = pq[grid.ny]
-        self.bern_eta = 2.0 - 2.0 * (pq_s / eta) ** 2 / eta
-        self.border = 2.0 * pq_s / eta ** 2 * grid.Dq[-1, inner].toarray()[0]
 
     def at(self, lam):
         """rhs -> T(lam[m])^-1 rhs[:, m] for each m, rhs real or complex;
@@ -956,22 +958,22 @@ def bifurcation_branch(sol: StreamSolution, dist: VorticityDistribution,
     SuperLU factor of the bordered Jacobian at the seed (see _newton_core),
     so one factorization usually serves the whole call and iterations
     counts chord steps. The result is unfolded to the full grid.
-    Raises ValueError unless 0 < k < inf, 0 < amplitude < inf and nx is
-    even and at least 6 (the half grid has nx/2 + 1 nodes), or when the
-    flat psi-block is singular at k; NewtonDiverged when Newton lands on
-    the raised flat state eta = h + amplitude, which also satisfies the
-    pin, instead of a wave.
+    Raises ValueError unless 0 < k < inf, 0 < amplitude < h (the seed's
+    trough is above the bed) and nx is even and at least 6 (the half grid
+    has nx/2 + 1 nodes), or when the flat psi-block is singular at k;
+    NewtonDiverged when Newton lands on the raised flat state eta = h +
+    amplitude, which also satisfies the pin, instead of a wave.
     """
-    if not (0.0 < k < math.inf and 0.0 < amplitude < math.inf):
-        raise ValueError(f"need 0 < k < inf and 0 < amplitude < inf, got "
-                         f"k={k!r}, amplitude={amplitude!r}")
+    h = sol.depth
+    if not (0.0 < k < math.inf and 0.0 < amplitude < h):
+        raise ValueError(f"need 0 < k < inf and 0 < amplitude < depth h, got "
+                         f"k={k!r}, amplitude={amplitude!r}, h={h!r}")
     if nx % 2 or nx < 6:
         raise ValueError(f"need an even nx >= 6 (the half grid has nx/2 + 1 "
                          f"nodes and unfolds), got nx={nx!r}")
     L = 2.0 * math.pi / k
     nxh = nx // 2 + 1
     grid = StripGrid(L, nxh, ny, "reflect")
-    h = sol.depth
     flat = flat_state(sol, dist, L, nxh, ny)
     try:  # cos(kx) is the grid's mode 1
         Y = _FlatModel(flat.psi[0], h, grid,

@@ -112,6 +112,19 @@ class TestSolveAndDiagnose:
         assert code == 0
         assert report["amp_sup"] < 1e-8
 
+    def test_diagnose_at_a_tiny_decay_rate(self, tmp_path):
+        # the periodic copy weight is summed in closed form, so a decay
+        # rate of 1e-9 neither exhausts memory nor overflows
+        state_path = str(tmp_path / "state.json")
+        code, _, _, _ = _run(tmp_path, "solve", dict(B2, nx=64, ny=16),
+                             extra=["--state-out", state_path])
+        assert code == 0
+        code, report, _, _ = _run(tmp_path, "diagnose", dict(B2, delta=1e-9),
+                                  extra=["--state", state_path],
+                                  name="diag.json")
+        assert code == 0
+        assert report["delta"] == 1e-9 and math.isfinite(report["energy"])
+
     def test_diagnose_without_state_fails(self, tmp_path):
         code, report, _, _ = _run(tmp_path, "diagnose", dict(B2))
         assert code == 1

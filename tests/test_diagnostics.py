@@ -9,6 +9,7 @@ exact quadratic homogeneity in the remainder field.
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,33 @@ class TestSurfaceQuartic:
         s1 = surface_quartic_weighted(z, 0.7, 0.0, 2.0)
         s2 = surface_quartic_weighted(3.0 * z, 0.7, 0.0, 2.0)
         assert s2 == pytest.approx(81.0 * s1, rel=1e-12)
+
+
+class TestCopyWeight:
+    @pytest.mark.parametrize("delta", [0.35, 3.0])
+    def test_matches_the_sum_over_copies(self, delta):
+        # beyond m = +-400 the copies weigh below exp(-0.35 * 790)
+        x = np.arange(64) * (2.0 / 64)
+        ms = np.arange(-400, 401)
+        for t in (0.0, 0.37, -1.3, 5.9):
+            brute = np.exp(-delta * np.abs(
+                t - (x[:, None] + 2.0 * ms[None, :]))).sum(axis=1)
+            assert np.allclose(diagnostics._copy_weight(x, t, delta, 2.0),
+                               brute, rtol=1e-14, atol=0.0)
+
+    def test_tiny_decay_rate_is_finite_in_constant_memory(self):
+        # a sum truncated at exp(-37) would take 2 * 37 / (delta L) copies
+        # per node here: 274 GiB
+        x = np.arange(64) * (2.0 / 64)
+        tracemalloc.start()
+        try:
+            w = diagnostics._copy_weight(x, 0.3, 1e-9, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        # every copy within reach weighs about 1: 2 / (delta L) in all
+        assert np.allclose(w, 1e9, rtol=1e-8, atol=0.0)
 
 
 class TestDecayRate:

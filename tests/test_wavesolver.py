@@ -14,6 +14,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from stillwave.wavesolver import (StripGrid, WaveState,
                                   dispersion_sigma, find_bifurcation_points,
                                   flat_state, newton_solve,
                                   nonexistence_sweep, perturbed_state,
-                                  residual_norms)
+                                  residual_fields, residual_norms)
 
 # zero of 2k cosh(sqrt(2) k) - (1 + sqrt(2)) sinh(sqrt(2) k), bisected
 # separately to 1e-14
@@ -58,6 +59,12 @@ TAB = TabulatedVorticity(nodes=[0.0, 1.0], values=[0.5, 1.5])
 SCAN_FLOWS = [(B2, None), (BM1, 0.0), (LIN, None),
               (LinearVorticity(b=-1.0), 0.5), (QUAD, None), (QUAD, 2.0),
               (TAB, None), (TAB, 2.5)]
+
+
+def _solution(dist, s):
+    """The least still depth of dist (s = None) or its shear flow at s."""
+    return still_depth_family(dist)[0] if s is None \
+        else shear_solution(dist, s)
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +208,19 @@ class TestFlatState:
         res = newton_solve(st, B2)
         assert res.iterations == 0
         assert np.array_equal(res.state.eta, st.eta)
+
+    @pytest.mark.parametrize("ny", [8, 32, 128])
+    @pytest.mark.parametrize("dist, s", [
+        (B2, None), (LIN, None), (QUAD, None), (BM1, 0.0),
+        (LinearVorticity(b=-1.0), 0.5), (QUAD, 2.0)],
+        ids=["constant", "linear", "quadratic", "criterion_6",
+             "moving_linear", "moving_quadratic"])
+    def test_meets_its_bernoulli_rows_to_an_ulp(self, dist, s, ny):
+        # r comes from the residual's own surface stencil, so only the
+        # rounding of 3 r and of the sum is left
+        st = flat_state(_solution(dist, s), dist, 2.0, 8, ny)
+        bern = residual_fields(st, dist)["bernoulli"]
+        assert np.max(np.abs(bern)) <= np.spacing(3.0 * st.r)
 
     def test_bernoulli_row_linear_in_r(self, still_b2):
         st = flat_state(still_b2, B2, 2.0, 16, 12)
@@ -550,8 +570,7 @@ class TestDispersion:
         ids=[f"{d.family}-{'still' if s is None else 'moving'}"
              for d, s in SCAN_FLOWS])
     def test_scan_matches_scalar_path(self, dist, s):
-        sol = still_depth_family(dist)[0] if s is None \
-            else shear_solution(dist, s)
+        sol = _solution(dist, s)
         ks = np.linspace(0.0, 5.0, 21)
         scan = dispersion_sigma(sol, dist, ks)
         ref = np.array([dispersion_sigma(sol, dist, k) for k in ks])
@@ -751,6 +770,19 @@ class TestBifurcationBranch:
         with pytest.raises(ValueError, match="0 < k < inf"):
             bifurcation_branch(moving_bm1, BM1, k, amplitude=amplitude,
                                nx=16, ny=8)
+
+    @pytest.mark.parametrize("fraction", [1.0, 1.5])
+    def test_amplitude_at_or_above_the_depth_rejected(self, moving_bm1,
+                                                      fraction):
+        # the seed's trough h - a would touch or cross the bed
+        h = moving_bm1.depth
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"amplitude < depth h, got "
+                               r"k=.*, amplitude=%r, h=%r"
+                               % (fraction * h, h)):
+                bifurcation_branch(moving_bm1, BM1, BIFURCATION_K,
+                                   amplitude=fraction * h, nx=32, ny=16)
 
     def test_odd_nx_rejected(self, moving_bm1):
         # nx = 4 would give a half grid of 3 nodes
@@ -1147,6 +1179,31 @@ class TestFlatSolver:
             errors.append(math.sqrt(-lam) - root)
         ratios = np.array(errors[:-1]) / errors[1:]
         assert np.all((3.5 <= ratios) & (ratios <= 4.5)), (errors, ratios)
+
+    @pytest.mark.parametrize("nx, ny", [(32, 16), (128, 64)])
+    @pytest.mark.parametrize("dist, s", [
+        (B2, None), (LIN, None), (QUAD, None), (TAB, None), (BM1, 0.0)],
+        ids=["constant", "linear", "quadratic", "tabulated", "criterion_6"])
+    def test_model_is_the_assembled_jacobian(self, dist, s, nx, ny):
+        # at the tiled flat state, node i's Bernoulli row, its corner and
+        # its eta column in the assembled Jacobian are the model's border,
+        # bern_eta and column at the Dxx diagonal, bit for bit
+        sol = _solution(dist, s)
+        st = flat_state(sol, dist, 3.0, nx, ny)
+        grid = StripGrid(3.0, nx, ny)
+        model = wavesolver._FlatModel(st.psi[0], sol.depth, grid, dist)
+        J = _assemble_jacobian(st.psi, st.eta, _residual_parts(
+            st.psi, st.eta, st.r, grid, dist), grid, dist)
+        n_int = nx * (ny - 1)
+        rows = J[n_int:, :n_int].toarray().reshape(nx, nx, ny - 1)
+        cols = J[:n_int, n_int:].toarray().reshape(nx, ny - 1, nx)
+        corner = J[n_int:, n_int:].toarray()
+        for i in range(nx):
+            assert np.array_equal(rows[i, i], model.border)
+            assert np.array_equal(corner[i, i], model.bern_eta[0])
+            assert np.array_equal(
+                cols[i, :, i],
+                (model.column[0] + model.column[1] * grid.Dxx[i, i])[:, 0])
 
     def test_one_eigendecomposition_per_flow(self, still_b2, moving_bm1,
                                              monkeypatch):
