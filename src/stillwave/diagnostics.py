@@ -179,10 +179,12 @@ def surface_quartic_weighted(zeta: np.ndarray, delta: float, t: float,
 
 
 def _surface_normal_derivative(fields: PerturbationFields) -> np.ndarray:
-    """Normal derivative of phi at the free surface."""
-    ex = fields.ex
-    fx, fy = _physical_gradient(fields.phi, fields)
-    return (-ex * fx[:, -1] + fy[:, -1]) / np.sqrt(1.0 + ex ** 2)
+    """Normal derivative of phi at the free surface, from the surface
+    column of _physical_gradient alone."""
+    grid, eta, ex, phi = fields.grid, fields.state.eta, fields.ex, fields.phi
+    fq = (grid.Dq @ phi.T)[-1]
+    fx = grid.Dx @ phi[:, -1] - grid.q[-1] * (ex / eta) * fq
+    return (-ex * fx + fq / eta) / np.sqrt(1.0 + ex ** 2)
 
 
 def trace_norm(fields: PerturbationFields, t: float = 0.0) -> float:
@@ -199,7 +201,11 @@ def bernoulli_check(fields: PerturbationFields, sol: StreamSolution) -> float:
     on the free surface. zeta is clamped at zero under the square root;
     for a flat still state both sides vanish.
     """
-    dn_phi = _surface_normal_derivative(fields)
+    return _bernoulli_defect(fields, sol, _surface_normal_derivative(fields))
+
+
+def _bernoulli_defect(fields, sol, dn_phi) -> float:
+    """bernoulli_check with d_n phi given."""
     zx = fields.grid.Dx @ fields.zeta
     uy_eta = np.asarray(sol.Uy(fields.state.eta), dtype=float)
     rhs = np.abs(dn_phi + uy_eta / np.sqrt(1.0 + zx ** 2)) / math.sqrt(2.0)
@@ -337,10 +343,11 @@ def diagnostics_report(state: WaveState, sol: StreamSolution,
     # on a state flat to FLAT_TOL the ratio divides roundoff by roundoff
     flat = float(np.max(np.abs(fields.zeta))) < FLAT_TOL
     ratio = energy / quart if quart > 0 and not flat else None
+    dn_phi = _surface_normal_derivative(fields)
     return DiagnosticsReport(
         t=float(t), delta=float(delta),
         slope_sup=fields.slope_sup, amp_sup=fields.amp_sup,
         windowed_zeta=windowed_norm(fields.zeta, t, 2.0, state.period_L),
         energy=energy, surface_quartic=quart, energy_ratio=ratio,
-        trace_phi=trace_norm(fields, t),
-        bernoulli_defect=bernoulli_check(fields, sol))
+        trace_phi=windowed_norm(dn_phi, t, 2.0, state.period_L),
+        bernoulli_defect=_bernoulli_defect(fields, sol, dn_phi))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -73,10 +74,33 @@ class StreamProfile:
     _dense: object = field(repr=False)
 
     def U(self, y):
-        return self._dense(y)[0]
+        return self._component(y, 0)
 
     def Uy(self, y):
-        return self._dense(y)[1]
+        return self._component(y, 1)
+
+    @cached_property
+    def _segments(self):
+        """t_old, h, y_old and F of every DOP853 step, as arrays."""
+        return [np.array([getattr(p, a) for p in self._dense.interpolants])
+                for a in ("t_old", "h", "y_old", "F")]
+
+    def _component(self, y, k):
+        """Component k of the dense output at y, a scalar or an array: one
+        searchsorted into the step nodes (OdeSolution's side, clip and
+        descending rules), then Dop853DenseOutput's recurrence on all points
+        at once, so every value is OdeSolution.__call__'s bit for bit."""
+        y, dense = np.asarray(y), self._dense
+        t_old, h, y_old, F = self._segments
+        last = dense.n_segments - 1
+        seg = np.clip(np.searchsorted(dense.ts_sorted, y, dense.side) - 1, 0, last)
+        seg = seg if dense.ascending else last - seg
+        x = (y - t_old[seg]) / h[seg]
+        out = np.zeros(y.shape)
+        for i, f in enumerate(F[:, ::-1, k].T):
+            out += f[seg]
+            out *= 1 - x if i % 2 else x
+        return out + y_old[seg, k]
 
     def first_integral_defect(self, dist: VorticityDistribution) -> float:
         """sup over the solver nodes of |U'(y)^2 + 2 Omega(U) - s^2|."""

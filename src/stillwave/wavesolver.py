@@ -86,8 +86,10 @@ VERDICT_INCONSISTENT = "inconsistent: nontrivial state found"
 VERDICT_INCONCLUSIVE = "inconclusive: solver failures"
 
 
+@lru_cache(maxsize=8)
 def _difference_matrices(n: int, h: float, closure: str):
-    """First and second difference matrices (CSR) on n nodes of spacing h.
+    """First and second difference matrices (CSR) on n nodes of spacing h,
+    built once per (n, h, closure) and shared, so their arrays are read-only.
 
     Inside, the three-point centered stencils. The end rows are closed by
     closure: "periodic" wraps the stencils around, "reflect" mirrors the
@@ -122,6 +124,8 @@ def _difference_matrices(n: int, h: float, closure: str):
         D = sp.diags([diags[k] for k in offsets], offsets, shape=(n, n),
                      format="csr")
         D.eliminate_zeros()
+        for a in (D.data, D.indices, D.indptr):
+            a.flags.writeable = False
         mats.append(D)
     return tuple(mats)
 
@@ -133,7 +137,8 @@ class StripGrid:
     with circulant x-stencils. topology "reflect": nx nodes cover half a
     period [0, L/2] endpoints included, with even reflection closing the
     x-stencils; this is the natural grid for waves with a crest at x = 0
-    and a trough at x = L/2. Jacobian patterns are cached per grid shape.
+    and a trough at x = L/2. Grids of one (L, nx, ny, topology) share their
+    difference matrices; Jacobian patterns are cached per grid shape.
     """
 
     def __init__(self, period_L: float, nx: int, ny: int,
@@ -531,14 +536,20 @@ class _FlatModel:
             c * Dqq.diagonal(1))
 
     def at(self, lam):
-        """rhs -> T(lam[m])^-1 rhs[:, m] for each m, rhs real or complex;
-        raises RuntimeError when some mu_i + lam[m] vanishes to roundoff."""
-        denom = self.mu[:, None] + lam
+        """rhs -> T(lam[m])^-1 rhs[:, m] for each m, rhs real or complex
+        (both products are real GEMMs on its view as floats); raises
+        RuntimeError when some mu_i + lam[m] vanishes to roundoff."""
+        denom, V = self.mu[:, None] + lam, self.V
         if np.any(np.abs(denom) <= np.finfo(float).eps
                   * (np.max(np.abs(self.mu)) + np.abs(lam))):
             raise RuntimeError("flat Jacobian is singular: a Fourier block "
                                "is singular")
-        return lambda rhs: self.V @ ((self.V.T @ rhs) / denom)
+
+        def solve(rhs):
+            b = np.ascontiguousarray(rhs, np.result_type(rhs, float))
+            z = (V.T @ b.view(float)).view(b.dtype) / denom
+            return (V @ z.view(float)).view(b.dtype)
+        return solve
 
     def response(self, lam):
         """Y[:, m] = T(lam[m])^-1 (eta column at lam[m]): minus psi's

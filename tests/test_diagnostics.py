@@ -252,6 +252,32 @@ class TestReports:
         diagnostics_report(st, still_b2, B2)
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("nx, ny", [(32, 16), (256, 128)])
+    @pytest.mark.parametrize("sol_name, dist", [("still_b2", B2),
+                                                ("still_lin", LIN)])
+    def test_trace_and_bernoulli_alone_equal_the_report(self, request,
+                                                        sol_name, dist,
+                                                        nx, ny):
+        # the report computes phi's surface normal derivative once for both
+        sol = request.getfixturevalue(sol_name)
+        st = perturbed_state(sol, dist, 2.3, nx, ny, amplitude=0.02)
+        fields = perturbation_fields(st, sol)
+        for t in (0.0, 0.7):
+            rep = diagnostics_report(st, sol, dist, t=t)
+            assert rep.trace_phi > 1e-3 and rep.bernoulli_defect > 1e-3
+            assert trace_norm(fields, t) == rep.trace_phi
+            assert bernoulli_check(fields, sol) == rep.bernoulli_defect
+
+    def test_surface_derivative_is_the_gradient_column(self, still_lin):
+        st = perturbed_state(still_lin, LIN, 2.3, 64, 32, amplitude=0.05)
+        fields = perturbation_fields(st, still_lin)
+        fx, fy = diagnostics._physical_gradient(fields.phi, fields)
+        ex = fields.ex
+        full = (-ex * fx[:, -1] + fy[:, -1]) / np.sqrt(1.0 + ex ** 2)
+        assert np.array_equal(
+            diagnostics._surface_normal_derivative(fields).view(np.uint64),
+            full.view(np.uint64))
+
     def test_report_dict_keys(self, still_b2):
         st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
         d = dataclasses.asdict(diagnostics_report(st, still_b2, B2))

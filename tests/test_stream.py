@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DenseOutput
 from scipy.special import gamma
 
 from stillwave import stream
@@ -88,6 +89,85 @@ class TestCauchyProblem:
         for s in rng.uniform(0.3, 2.0, size=4):
             prof = solve_cauchy(dist, s=float(s), y_max=3.0)
             assert prof.first_integral_defect(dist) < 1e-9
+
+
+def _bits(a):
+    """The bytes of a float array, so that -0.0 and 0.0 tell apart."""
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+# (distribution, bed slope, y_max) of profiles integrated upward, and
+# downward for a negative y_max
+DENSE_PROFILES = [(ConstantVorticity(b=2.0), 2.0, 1.5),
+                  (LinearVorticity(b=1.0), 1.0, 3.0),
+                  (LinearVorticity(b=1.0), 1.0, -5.0),
+                  (ConstantVorticity(b=-1.0), 0.3, -2.0)]
+
+
+class TestDenseEvaluation:
+    """U and Uy evaluate all points of a call in one pass; every value must
+    be scipy's OdeSolution.__call__ bit for bit."""
+
+    @pytest.fixture(params=DENSE_PROFILES,
+                    ids=["constant", "linear", "linear-down", "constant-down"])
+    def profile(self, request):
+        dist, s, y_max = request.param
+        prof = solve_cauchy(dist, s=s, y_max=y_max)
+        assert prof._dense.ascending == (y_max > 0)
+        return prof
+
+    def _points(self, prof):
+        lo, hi = sorted((0.0, float(prof._dense.ts[-1])))
+        rng = np.random.default_rng(11)
+        return {"interior": rng.uniform(lo, hi, 2000),
+                "nodes": prof._dense.ts,
+                "nodes-reversed": prof._dense.ts[::-1].copy(),
+                "beyond": np.array([lo - 1.0, hi + 1.0, lo - 1e-3, hi + 1e-3,
+                                    lo, hi])}
+
+    def test_arrays_match_scipy(self, profile):
+        assert profile._dense.n_segments > 3
+        for name, y in self._points(profile).items():
+            ref = profile._dense(y)
+            for k, f in enumerate((profile.U, profile.Uy)):
+                assert np.array_equal(_bits(f(y)), _bits(ref[k])), name
+
+    def test_nodes_take_scipy_segment(self, profile):
+        # adjacent steps agree at their shared node to the last bit, so
+        # shift each step's y_old by its own amount: then only the choice of
+        # step (OdeSolution's side rule) decides the value at a node
+        for i, step in enumerate(profile._dense.interpolants):
+            step.y_old = step.y_old + 1e-3 * i
+        ts = profile._dense.ts
+        for y in (ts, ts[::-1].copy(), ts[1]):
+            ref = profile._dense(y)
+            assert not np.array_equal(ref, profile._dense(np.nextafter(
+                y, np.inf if profile._dense.ascending else -np.inf)))
+            for k, f in enumerate((profile.U, profile.Uy)):
+                assert np.array_equal(_bits(f(y)), _bits(ref[k]))
+
+    def test_zero_d_inputs_match_scipy(self, profile):
+        for y in (0.3 * profile._dense.ts[-1], profile._dense.ts[2]):
+            ref = profile._dense(y)
+            for k, f in enumerate((profile.U, profile.Uy)):
+                for arg in (float(y), np.float64(y), np.array(y)):
+                    got = f(arg)
+                    assert np.ndim(got) == 0
+                    assert np.array_equal(_bits(got), _bits(ref[k]))
+
+    def test_calls_run_no_segment_interpolant(self, profile, monkeypatch):
+        y = self._points(profile)["interior"]
+        ref, ref0 = profile._dense(y), profile._dense(y[0])
+
+        def forbidden(self, t):
+            raise AssertionError("per-segment DenseOutput call")
+
+        monkeypatch.setattr(DenseOutput, "__call__", forbidden)
+        for k, f in enumerate((profile.U, profile.Uy)):
+            assert np.array_equal(_bits(f(y)), _bits(ref[k]))
+            assert np.array_equal(_bits(f(float(y[0]))), _bits(ref0[k]))
+        with pytest.raises(AssertionError, match="per-segment"):
+            profile._dense(y)
 
 
 class TestLeastDepth:

@@ -139,6 +139,31 @@ class TestStripGrid:
         assert np.all((g.Dx @ v)[1:-1] != 0.0)
         assert (g.Dx @ v)[0] == 0.0 and (g.Dx @ v)[-1] == 0.0
 
+    @pytest.mark.parametrize("topology", ["periodic", "reflect"])
+    def test_grids_of_one_shape_share_their_operators(self, topology):
+        first = StripGrid(2.37, 40, 20, topology)
+        misses = wavesolver._difference_matrices.cache_info().misses
+        again = StripGrid(2.37, 40, 20, topology)
+        assert wavesolver._difference_matrices.cache_info().misses == misses
+        for name in ("Dx", "Dxx", "Dq", "Dqq"):
+            assert getattr(again, name) is getattr(first, name)
+
+    def test_flat_state_builds_no_operator_once_dq_is_cached(self, still_b2):
+        StripGrid(1.9, 24, 20)
+        misses = wavesolver._difference_matrices.cache_info().misses
+        flat_state(still_b2, B2, 1.9, 24, 20)
+        assert wavesolver._difference_matrices.cache_info().misses == misses
+
+    def test_shared_operators_are_read_only(self):
+        g = StripGrid(2.0, 16, 8)
+        for D in (g.Dx, g.Dxx, g.Dq, g.Dqq):
+            for a in (D.data, D.indices, D.indptr):
+                with pytest.raises(ValueError):
+                    a[0] = a[0]
+        with pytest.raises(ValueError):
+            g.Dx.data[:] = 0.0
+        assert np.array_equal(g.Dx @ np.ones(16), np.zeros(16))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             StripGrid(-1.0, 8, 8)
@@ -1120,6 +1145,41 @@ class TestFlatSolver:
                 mode = np.cos(2.0 * math.pi * m * np.arange(nx) / per_period)
                 assert np.allclose(g.Dxx @ mode, lam_m * mode, rtol=0.0,
                                    atol=1e-10)
+
+    @pytest.mark.parametrize("nx, ny", [(32, 16), (64, 32), (256, 128)])
+    @pytest.mark.parametrize("dist", [B2, QUAD], ids=lambda d: d.family)
+    def test_complex_rhs_matches_dense_solves(self, dist, nx, ny):
+        # the chord solve's rfft data, a Fortran-ordered copy and a strided
+        # view: none of the last two can be viewed as floats directly
+        sol = still_depth_family(dist)[0]
+        grid = StripGrid(2.5, nx, ny)
+        col = flat_state(sol, dist, 2.5, nx, ny).psi[0]
+        lam = grid._dxx_symbol
+        model = wavesolver._FlatModel(col, sol.depth, grid, dist)
+        solve = model.at(lam)
+        rng = np.random.default_rng(nx)
+        rhs = np.fft.rfft(rng.standard_normal((ny - 1, nx)))
+        wide = np.fft.rfft(rng.standard_normal((ny - 1, 2 * nx)))[:, ::2]
+        T = (grid.Dqq[1:ny, 1:ny].toarray() / sol.depth ** 2
+             + np.diag(dist.derivative(col[1:ny])))
+        # T's condition number grows as ny^2, and so does the gap between a
+        # dense LU solve and the eigenbasis solve (2.5e-13 relative at
+        # 256x128, in real and complex arithmetic alike)
+        dense_tol = 1e-13 * (ny / 16) ** 2
+        V = model.V.astype(complex)
+        cases = (rhs, np.asfortranarray(rhs), wide[:, :lam.size])
+        outs = [solve(b) for b in cases]
+        for b, out in zip(cases, outs):
+            assert out.shape == b.shape and np.iscomplexobj(out)
+            # the same products in complex arithmetic
+            ref = V @ ((V.T @ b) / (model.mu[:, None] + lam))
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for m, lam_m in enumerate(lam):
+            ref = np.linalg.solve(T + lam_m * np.eye(ny - 1),
+                                  np.stack([b[:, m] for b in cases], 1))
+            for j, out in enumerate(outs):
+                assert np.max(np.abs(out[:, m] - ref[:, j])) <= dense_tol \
+                    * np.max(np.abs(ref[:, j]))
 
     def test_indefinite_block_matches_splu(self, factorizations):
         # the flat state of linear b = ny^2 on h = 1: its m = 0 block is

@@ -6,10 +6,12 @@
 # pairs, CHANGE first on odd ones), so that a slow spell of the host hits
 # both sides alike. Each run's result line is printed as it comes. At the
 # end, for every end-to-end metric of CHANGE's BENCHMARK.json: each
-# side's median and quartiles, the pairs the change won (ties count for
-# neither side) and whether the gain rule holds: the change wins at least
-# nine tenths of the pairs and the medians differ by more than the
-# distance between the parent's quartiles.
+# side's median and quartiles, the median over the pairs of the ratio
+# change / parent (a slow spell that spans several pairs moves both
+# sides' medians but not the ratios of those pairs), the pairs the change
+# won (ties count for neither side) and whether the gain rule holds: the
+# change wins at least nine tenths of the pairs and the medians differ by
+# more than the distance between the parent's quartiles.
 #
 # usage: tools/ab_pairs.sh PARENT CHANGE WORKLOAD [PAIRS]   (PAIRS = 10)
 # environment: AB_SECONDS (default: run_seconds of BENCHMARK.json),
@@ -89,16 +91,17 @@ for side, rs in (("parent", parent), ("change", change)):
 with open(spec, encoding="utf-8") as fh:
     metrics = json.load(fh)["end_to_end"]
 print(f"{'metric':<12} {'parent q1/median/q3':>30} "
-      f"{'change q1/median/q3':>30}  wins  gain")
+      f"{'change q1/median/q3':>30}  ratio  wins  gain")
 for m in metrics:
     name, lower = m["name"], m["better"] == "lower"
     a = [r["metrics"][name]["value"] for r in parent]
     b = [r["metrics"][name]["value"] for r in change]
     wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
     qa, qb = quartiles(a), quartiles(b)
+    ratio = statistics.median(y / x for x, y in zip(a, b))
     gain = (wins >= 0.9 * pairs
             and ((qa[1] - qb[1]) if lower else (qb[1] - qa[1])) > qa[2] - qa[0])
     print(f"{name:<12} {'/'.join(f'{v:.4g}' for v in qa):>30} "
-          f"{'/'.join(f'{v:.4g}' for v in qb):>30}  {wins:>2}/{pairs}"
+          f"{'/'.join(f'{v:.4g}' for v in qb):>30}  {ratio:5.3f}  {wins:>2}/{pairs}"
           f"  {'yes' if gain else 'no'}")
 EOF
