@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -315,7 +316,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="stillwave",
         description="Steady water waves with vorticity: stream solutions, "

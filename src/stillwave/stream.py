@@ -246,9 +246,15 @@ def monotone_interval_lower(dist: VorticityDistribution, s0: float,
                             horizon: float) -> float:
     """Largest y < 0 where U'(y; s0) vanishes, or -inf if none is found
     in [-|horizon|, 0); still_depth_family passes 100 still depths. A
-    zero s0 gives 0, since the rise then starts from rest at the bed."""
+    zero s0 gives 0, since the rise then starts from rest at the bed.
+
+    When omega >= 0 on (-inf, 0] (dist.inf_omega_nonpositive) the answer
+    is -inf with no integration: below the bed U < 0, so Omega(U) <= 0 and
+    the first integral gives U'^2 = s0^2 - 2 Omega(U) >= s0^2 > 0."""
     if s0 < 1e-13:
         return 0.0
+    if dist.inf_omega_nonpositive() >= 0.0:
+        return -math.inf
     sol = _integrate(dist, s0, -abs(horizon),
                      events=(_turning_event(),))
     if not sol.success:

@@ -1,12 +1,13 @@
 """Vorticity distributions omega(tau) and their antiderivatives.
 
 A distribution assigns the scalar vorticity omega to each value tau of the
-stream function. The solvers only ever need four things from it:
+stream function. The solvers only ever need five things from it:
 
-    omega(tau)            pointwise values (vectorised)
-    antiderivative(tau)   Omega(tau) = integral of omega from 0 to tau
-    derivative(tau)       omega'(tau), one-sided at kinks
-    sup_derivative()      ess sup of omega' over the real line
+    omega(tau)               pointwise values (vectorised)
+    antiderivative(tau)      Omega(tau) = integral of omega from 0 to tau
+    derivative(tau)          omega'(tau), one-sided at kinks
+    sup_derivative()         ess sup of omega' over the real line
+    inf_omega_nonpositive()  a lower bound of omega over tau <= 0
 
 Four families are provided. "constant", "linear" and "quadratic_truncated"
 carry closed-form antiderivatives; "tabulated" interpolates node data
@@ -51,6 +52,11 @@ class VorticityDistribution:
         """ess sup of omega' over the real line (signed)."""
         raise NotImplementedError
 
+    def inf_omega_nonpositive(self) -> float:
+        """A lower bound of omega on (-inf, 0]: -inf, the safe answer, for
+        a family that knows no better one."""
+        return -math.inf
+
 
 @dataclass(frozen=True)
 class ConstantVorticity(VorticityDistribution):
@@ -75,6 +81,9 @@ class ConstantVorticity(VorticityDistribution):
 
     def sup_derivative(self) -> float:
         return 0.0
+
+    def inf_omega_nonpositive(self) -> float:
+        return float(self.b)
 
 
 @dataclass(frozen=True)
@@ -140,6 +149,9 @@ class QuadraticTruncatedVorticity(VorticityDistribution):
 
     def sup_derivative(self) -> float:
         return 2.0 * self.b * self.R
+
+    def inf_omega_nonpositive(self) -> float:
+        return 0.0  # b > 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,6 +225,12 @@ class TabulatedVorticity(VorticityDistribution):
         # constant extension outside the nodes contributes slope 0
         slopes = np.diff(self.values) / np.diff(self.nodes)
         return float(max(np.max(slopes), 0.0))
+
+    def inf_omega_nonpositive(self) -> float:
+        # the interpolant is linear between nodes and constant left of
+        # them, so its least value on (-inf, 0] sits at a node there or at 0
+        return float(np.min(np.append(self.values[self.nodes <= 0.0],
+                                      self.omega(0.0))))
 
 
 _FAMILIES = {

@@ -17,7 +17,8 @@ Laplacian into a variable-coefficient operator
 discretized with second-order centered differences in both directions
 (one-sided second-order stencils close the q boundary rows). Newton's
 method with an exact sparse Jacobian, summed into CSC on a pattern cached
-per grid shape, drives the coupled system, and every solve starts as
+per grid shape in a nested-dissection order that SuperLU factors as it
+stands, drives the coupled system, and every solve starts as
 chord steps on one reference Jacobian. Near-flat solves use the
 flat-state Jacobian (_FlatModel, one per flow), solved mode by mode after
 an rfft in x through one eigendecomposition in q and a Schur step on eta.
@@ -391,17 +392,79 @@ def residual_norms(state: WaveState, dist: VorticityDistribution) -> ResidualNor
     return _norms(_residual_parts(state.psi, state.eta, state.r, grid, dist))
 
 
-def _factor(A):
-    """SuperLU factor of A with a minimum-degree ordering on A^T + A, which
-    on the strip Jacobians makes about half the fill of the default COLAMD.
-    Raises RuntimeError when A is exactly singular."""
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+def _factor(A, grid: StripGrid, pin: Optional[tuple]):
+    """SuperLU factor of a Jacobian A of _assemble_jacobian on grid (with
+    pin), whose rows and columns follow the order of _layout_of(grid, pin),
+    as an object whose solve(b) takes and returns vectors in the natural
+    order. SuperLU takes the columns as they stand (permc_spec "NATURAL"),
+    so that order is the fill-reducing one: on the strip Jacobians the
+    nested dissection of _jacobian_layout makes less fill than a
+    minimum-degree order of A^T + A, and costs nothing per call (Li, ACM
+    TOMS 31, 2005). Raises RuntimeError when A is exactly singular."""
+    lu = splu(A.tocsc(), permc_spec="NATURAL")
+    order = _layout_of(grid, pin).order
+
+    def solve(b):
+        x = np.empty(b.shape)
+        x[order] = lu.solve(b[order])
+        return x
+    return SimpleNamespace(solve=solve)
 
 
-def _jacobian_terms(nx: int, ny: int, Dx, Dxx, Dq, Dqq, pin_index):
-    """The terms of _assemble_jacobian in its order, as (row offset, column
-    offset, A, B) with A and B as (row, col, data, shape) in row-major
-    order: the factor kron(A, B) has the products a b of every pair."""
+def _nested_dissection(nx: int, ny: int, periodic: bool) -> np.ndarray:
+    """The interior psi unknowns i (ny - 1) + j in nested-dissection order
+    (George, SIAM J. Numer. Anal. 10, 1973). A box of nodes is split along
+    its longer side by a line one node wide, which separates the halves
+    because every stencil reaches only the eight nearest nodes; the halves
+    come first, one after the other, then the line. Boxes of at most 8
+    nodes keep the natural order. On a periodic grid column 0 is cut
+    first, which opens the ring, and comes last."""
+    m, parts = ny - 1, []
+
+    def split(x0, x1, y0, y1):
+        if (x1 - x0) * (y1 - y0) <= 8:
+            parts.append((np.arange(x0, x1)[:, None] * m
+                          + np.arange(y0, y1)).ravel())
+        elif x1 - x0 >= y1 - y0:
+            c = (x0 + x1) // 2
+            split(x0, c, y0, y1)
+            split(c + 1, x1, y0, y1)
+            parts.append(c * m + np.arange(y0, y1))
+        else:
+            c = (y0 + y1) // 2
+            split(x0, x1, y0, c)
+            split(x0, x1, c + 1, y1)
+            parts.append(np.arange(x0, x1) * m + c)
+
+    split(int(periodic), nx, 0, m)
+    if periodic:
+        parts.append(np.arange(m))
+    return np.concatenate(parts)
+
+
+class _Layout(NamedTuple):
+    """The Jacobian on grids of one shape, with its rows and columns in
+    order: row and column i stand for unknown order[i]."""
+    indices: np.ndarray  # int32 CSC row indices
+    indptr: np.ndarray   # int32 CSC column pointers
+    pos: np.ndarray      # the place in indices of each term entry
+    bounds: np.ndarray   # each term's slice of pos
+    terms: tuple         # per term (a, b, gather): see _jacobian_layout
+    order: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _jacobian_layout(nx: int, ny: int, topology: str, pin_index) -> _Layout:
+    """The terms of _assemble_jacobian on grids of this shape, summed into
+    one CSC pattern whose rows and columns follow a nested-dissection
+    order: the interior psi unknowns by _nested_dissection, then eta, then
+    r (each eta column spans every interior row of three x nodes, and r
+    every Bernoulli row). Each term kron(A, B) has the products a b of
+    the entries of A and B in row-major order, times a coefficient taken
+    at gather; a is the name of the grid's x operator ("Dx", "Dxx"), whose
+    entries depend on its spacing, or A's entries, and b holds B's, which
+    depend on ny alone. The pattern keys col * n + row are int32 when n^2
+    fits."""
     def entries(M):  # a CSR or a dense matrix
         if sp.issparse(M):
             return (np.repeat(np.arange(M.shape[0], dtype=np.int32),
@@ -409,39 +472,52 @@ def _jacobian_terms(nx: int, ny: int, Dx, Dxx, Dq, Dqq, pin_index):
         row, col = np.array(np.nonzero(M), dtype=np.int32)
         return row, col, M[row, col], M.shape
     inner, n_int = slice(1, ny), nx * (ny - 1)
+    n = n_int + nx + (pin_index is not None)
+    x_ops = dict(zip(("Dx", "Dxx"), _difference_matrices(nx, 1.0, topology)))
+    Dq, Dqq = (D.toarray() for D in
+               _difference_matrices(ny + 1, 1.0 / ny, "one-sided"))
     Ix, Im, one = sp.identity(nx, format="csr"), np.eye(ny - 1), np.eye(1)
-    col, Dq, Dqq = np.ones((ny - 1, 1)), Dq.toarray(), Dqq.toarray()
-    terms = [(0, 0, Dxx, Im), (0, 0, Ix, Dqq[inner, inner]),
-             (0, 0, Dx, Dq[inner, inner]), (0, 0, Ix, Dq[inner, inner]),
-             (0, 0, Ix, Im), (0, n_int, Ix, col), (0, n_int, Dx, col),
-             (0, n_int, Dxx, col), (n_int, 0, Ix, Dq[ny:, inner]),
-             (n_int, n_int, Ix, one), (n_int, n_int, Dx, one)]
+    col = np.ones((ny - 1, 1))
+    # (width, first) of a term's coefficient: an (nx, width) array whose
+    # column first holds interior q node 1
+    field, interior, node = (ny + 1, 1), (ny - 1, 0), (1, 0)
+    terms = [(0, 0, "Dxx", Im, None), (0, 0, Ix, Dqq[inner, inner], field),
+             (0, 0, "Dx", Dq[inner, inner], field),
+             (0, 0, Ix, Dq[inner, inner], field), (0, 0, Ix, Im, interior),
+             (0, n_int, Ix, col, field), (0, n_int, "Dx", col, field),
+             (0, n_int, "Dxx", col, field),
+             (n_int, 0, Ix, Dq[ny:, inner], node),
+             (n_int, n_int, Ix, one, node), (n_int, n_int, "Dx", one, node)]
     if pin_index is not None:  # the r column and the pin row
-        terms += [(n_int, n_int + nx, np.full((nx, 1), -3.0), one),
-                  (n_int + nx, n_int, np.eye(1, nx, pin_index), one)]
-    return [(r, c, entries(A), entries(B)) for r, c, A, B in terms]
-
-
-@lru_cache(maxsize=8)
-def _jacobian_layout(nx: int, ny: int, topology: str, pin_index):
-    """The Jacobian's pattern on grids of this shape (int32 CSC indices and
-    indptr), the place in it of each term entry and each term's bounds in
-    that list; the keys col * n + row are int32 when n^2 fits."""
-    terms = _jacobian_terms(nx, ny, *_difference_matrices(nx, 1.0, topology),
-                            *_difference_matrices(ny + 1, 1.0, "one-sided"),
-                            pin_index)
-    n = nx * ny + (pin_index is not None)
+        terms += [(n_int, n_int + nx, np.full((nx, 1), -3.0), one, None),
+                  (n_int + nx, n_int, np.eye(1, nx, pin_index), one, None)]
+    order = np.concatenate([_nested_dissection(nx, ny, topology == "periodic"),
+                            np.arange(n_int, n)])
     key = np.int32 if n * n < 2 ** 31 else np.int64
-    keys = [((c + ac.astype(key)[:, None] * nb + bc) * n
-             + r + ar.astype(key)[:, None] * mb + br).ravel()
-            for r, c, (ar, ac, _, _), (br, bc, _, (mb, nb)) in terms]
+    rank = np.empty(n, key)
+    rank[order] = np.arange(n, dtype=key)
+    keys, specs = [], []
+    for r, c, A, B, coef in terms:
+        ar, ac, a, _ = entries(x_ops[A] if isinstance(A, str) else A)
+        br, bc, b, (mb, nb) = entries(B)
+        keys.append((rank[(c + ac[:, None] * nb + bc).ravel()] * n
+                     + rank[(r + ar[:, None] * mb + br).ravel()]))
+        specs.append((A if isinstance(A, str) else a, b, None if coef is None
+                      else (ar[:, None] * coef[0] + br + coef[1]).ravel()))
     union = np.sort(np.concatenate(keys))
     union = union[np.append(True, union[1:] != union[:-1])]
     indptr = np.searchsorted(union, np.arange(n + 1, dtype=key) * n)
-    return ((union % n).astype(np.int32), indptr.astype(np.int32),
-            np.concatenate([np.searchsorted(union, k).astype(np.int32)
-                            for k in keys]),
-            np.cumsum([0] + [k.size for k in keys]))
+    return _Layout((union % n).astype(np.int32), indptr.astype(np.int32),
+                   np.concatenate([np.searchsorted(union, k).astype(np.int32)
+                                   for k in keys]),
+                   np.cumsum([0] + [k.size for k in keys]), tuple(specs),
+                   order)
+
+
+def _layout_of(grid: StripGrid, pin: Optional[tuple]) -> _Layout:
+    """The _jacobian_layout of grid's shape, bordered when pin is given."""
+    return _jacobian_layout(grid.nx, grid.ny, grid.topology,
+                            None if pin is None else pin[0])
 
 
 def _linear_coefficients(q, eta, ex, exx, pq, pqq, pxq):
@@ -466,37 +542,37 @@ def _linear_coefficients(q, eta, ex, exx, pq, pqq, pxq):
 def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
                        dist, pin: Optional[tuple] = None):
     """Jacobian of [pde rows; bernoulli rows] wrt [interior psi; eta], exact
-    and sparse, in CSC. The psi-block is K_xx + diag(c_qq) K_qq + diag(c_xq)
-    K_xq + diag(c_q) K_q + diag(omega'(Psi)), the c_* read off parts. A pde
-    row depends on eta only through eta, eta_x and eta_xx at its own x node,
-    so the eta-block is diag(d_eta) E + diag(d_ex) E_x + diag(d_exx) E_xx (E
+    and sparse, in CSC, with its rows and columns in the nested-dissection
+    order of _layout_of(grid, pin) (factor it with _factor).
+    The psi-block is K_xx + diag(c_qq) K_qq + diag(c_xq) K_xq + diag(c_q)
+    K_q + diag(omega'(Psi)), the c_* read off parts. A pde row depends on
+    eta only through eta, eta_x and eta_xx at its own x node, so the
+    eta-block is diag(d_eta) E + diag(d_ex) E_x + diag(d_exx) E_xx (E
     spreads each x node over its interior rows). The Bernoulli rows are
     diag(bern_psi) S and diag(bern_eta) + diag(bern_ex) Dx, with d_* and
     bern_* from _linear_coefficients. With pin = (index, value) the system
     is bordered: r joins the unknowns and the equation eta[index] = value
-    joins the rows. Each K is a kron of the grid's difference matrices
-    (_jacobian_terms), on a pattern cached per grid shape
+    joins the rows. Each K is a kron of the grid's difference matrices, on
+    a pattern, entry places and coefficient gathers cached per grid shape
     (_jacobian_layout); the terms are summed in the order above by one
     bincount (Cuvelier, Japhet & Scarella, BIT Numer. Math. 56, 2016), and
     exact zeros go, except in bern_psi S.
     """
-    nx, ny, inner = grid.nx, grid.ny, slice(1, grid.ny)
     d = _linear_coefficients(grid.q[None, :], eta, parts.ex, parts.exx,
                              parts.pq, parts.pqq, parts.pxq)
-    coefs = [None, *(c[:, inner] for c in (parts.c_qq, parts.c_xq, parts.c_q)),
-             np.asarray(dist.derivative(psi[:, inner]), dtype=float),
-             *(c[:, inner] for c in d[:3]), *(v[:, None] for v in d[3:]),
-             None, None]
-    pin_index = None if pin is None else pin[0]
-    indices, indptr, pos, bounds = _jacobian_layout(nx, ny, grid.topology,
-                                                    pin_index)
+    coefs = [None, parts.c_qq, parts.c_xq, parts.c_q,
+             np.asarray(dist.derivative(psi[:, 1:grid.ny]), dtype=float), *d]
+    layout = _layout_of(grid, pin)
+    pos, bounds = layout.pos, layout.bounds
     vals = np.empty(pos.size)
-    for coef, (_, _, (ar, _, a, _), (br, _, b, _)), lo, hi in zip(
-            coefs, _jacobian_terms(nx, ny, grid.Dx, grid.Dxx, grid.Dq,
-                                   grid.Dqq, pin_index), bounds, bounds[1:]):
-        v = np.multiply.outer(a, b, out=vals[lo:hi].reshape(a.size, b.size))
-        if coef is not None:
-            v *= coef[ar[:, None], br]
+    for coef, (a, b, gather), lo, hi in zip(coefs + [None, None],
+                                            layout.terms, bounds, bounds[1:]):
+        if isinstance(a, str):
+            a = getattr(grid, a).data
+        np.multiply.outer(a, b, out=vals[lo:hi].reshape(a.size, b.size))
+        if gather is not None:
+            vals[lo:hi] *= coef.take(gather)
+    indices, indptr = layout.indices, layout.indptr
     data = np.bincount(pos, vals, indices.size)
     bp = pos[bounds[8]:bounds[9]]  # bern_psi S, alone at its places
     data[bp] = vals[bounds[8]:bounds[9]]  # zeros keep their signs
@@ -659,7 +735,7 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
             lu = None
         J = _assemble_jacobian(psi, eta, parts, grid, dist, pin=pin)
         try:
-            dz = _factor(J).solve(-F)
+            dz = _factor(J, grid, pin).solve(-F)
         except RuntimeError as exc:
             raise NewtonDiverged(f"singular Jacobian ({exc})") from exc
         if not np.all(np.isfinite(dz)):
@@ -999,7 +1075,7 @@ def bifurcation_branch(sol: StreamSolution, dist: VorticityDistribution,
     pin = (0, h + amplitude)
     seed_factor = lambda: _factor(_assemble_jacobian(
         psi, eta, _residual_parts(psi, eta, r0, grid, dist), grid, dist,
-        pin=pin))
+        pin=pin), grid, pin)
     psi_h, eta_h, r_out, its, _ = _newton_core(
         psi, eta, r0, grid, dist, NEWTON_TOL, 60, pin=pin,
         reference=seed_factor)

@@ -198,6 +198,28 @@ class TestSweep:
         assert code == 0
         assert Path(out).read_bytes() == plain
 
+    def test_shipped_config_takes_the_exact_newton_path(self, tmp_path,
+                                                         monkeypatch):
+        # with no chord step accepted short of the tolerance every case
+        # falls back to exact Newton, so the shipped sweep runs the SuperLU
+        # factor end to end whatever the chord rule accepts
+        count = []
+
+        def counted(*args, **kwargs):
+            count.append(args)
+            return splu(*args, **kwargs)
+        splu = wavesolver.splu
+        monkeypatch.setattr(wavesolver, "splu", counted)
+        monkeypatch.setattr(wavesolver, "CHORD_CONTRACTION", 0.0)
+        out = str(tmp_path / "report.json")
+        assert cli.run(["sweep", "--config",
+                        str(CONFIG_DIR / "quadratic_b0948_sweep.json"),
+                        "--out", out, "--manifest",
+                        str(tmp_path / "manifest.json")]) == 0
+        report = json.loads(Path(out).read_text(encoding="utf-8"))
+        assert report["verdict"].startswith("consistent")
+        assert len(count) >= len(report["cases"])
+
     def test_missing_grid_keys_fail(self, tmp_path):
         code, report, _, _ = _run(tmp_path, "sweep", dict(B2))
         assert code == 1
@@ -282,6 +304,17 @@ class TestPlumbing:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "integrat" in err
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_one_parser_serves_every_run(self, tmp_path):
+        # two subcommands in one process parse with one parser and write
+        # the reports that each writes from a freshly built parser
+        cfg = dict(LINEAR, k_max=1)
+        cli._build_parser.cache_clear()
+        shared = [_run(tmp_path, sub, cfg)[1] for sub in ("depths", "check")]
+        assert cli._build_parser.cache_info()[:2] == (1, 1)  # hits, misses
+        for sub, report in zip(("depths", "check"), shared):
+            cli._build_parser.cache_clear()
+            assert _run(tmp_path, sub, cfg)[1] == report
 
     def test_manifest_digest_matches_canonical_hash(self, tmp_path):
         cfg = dict(LINEAR, k_max=0)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import DenseOutput
+from scipy.integrate import DenseOutput, solve_ivp
 from scipy.special import gamma
 
 from stillwave import stream
@@ -211,6 +211,53 @@ class TestMonotoneInterval:
         y_minus = monotone_interval_lower(
             dist, 1.0, horizon=100.0 * least_still_depth(dist))
         assert y_minus == pytest.approx(-np.pi / 2.0, abs=1e-8)
+
+
+    @pytest.mark.parametrize("dist, s0", [
+        (ConstantVorticity(b=2.0), 2.0),
+        (QuadraticTruncatedVorticity(b=1.5, R=1.2), 1.0),
+        (TabulatedVorticity(nodes=(-1.0, 0.5, 1.0), values=(0.5, 0.0, 2.0)),
+         1.0)],
+        ids=["constant", "quadratic", "tabulated"])
+    def test_nonnegative_vorticity_below_the_bed_integrates_nothing(
+            self, monkeypatch, dist, s0):
+        # omega >= 0 for tau <= 0 keeps U' >= s0 below the bed: no turn
+        assert dist.inf_omega_nonpositive() >= 0.0
+        assert monotone_interval_lower(dist, s0, horizon=100.0) == -math.inf
+
+        def no_ivp(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+        monkeypatch.setattr(stream, "solve_ivp", no_ivp)
+        assert monotone_interval_lower(dist, s0, horizon=100.0) == -math.inf
+
+    @pytest.mark.parametrize("dist", [
+        ConstantVorticity(b=-1.0), LinearVorticity(b=1.0),
+        TabulatedVorticity(nodes=(-1.0, 0.0, 1.0), values=(-0.5, 1.0, 1.0)),
+        TabulatedVorticity(nodes=(-1.0, 1.0), values=(1.0, -3.0)),
+        TabulatedVorticity(nodes=(0.5, 1.0), values=(-1.0, 1.0))],
+        ids=["constant", "linear", "tabulated-node", "tabulated-zero",
+             "tabulated-left-end"])
+    def test_vorticity_negative_below_the_bed_still_integrates(
+            self, monkeypatch, dist):
+        assert dist.inf_omega_nonpositive() < 0.0
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_ivp(*args, **kwargs)
+        monkeypatch.setattr(stream, "solve_ivp", counted)
+        monotone_interval_lower(dist, 1.0, horizon=10.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("b, s0, y_minus", [
+        (1.0, 1.0, "-0x1.921fb5445684bp+0"),
+        (2.5, 0.7, "-0x1.fca6a2a438cc7p-1")])
+    def test_linear_positive_b_keeps_its_bits(self, b, s0, y_minus):
+        # the integration that finds the turn is the one it always was
+        dist = LinearVorticity(b=b)
+        got = monotone_interval_lower(
+            dist, s0, horizon=100.0 * least_still_depth(dist))
+        assert got.hex() == y_minus
 
 
 class TestDepthFamily:

@@ -23,6 +23,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
+from scipy.sparse.linalg import splu
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -280,13 +281,30 @@ class TestFlatState:
         assert np.max(np.abs(st.eta - expected)) < 1e-14
 
 
+def _order(grid, pin=None):
+    """The order of the Jacobian's rows and columns on grid, from an
+    uncached layout, so the tests that count layout builds count only the
+    solver's own."""
+    return wavesolver._jacobian_layout.__wrapped__(
+        grid.nx, grid.ny, grid.topology, None if pin is None else pin[0]).order
+
+
+def _renumbered(M, new):
+    """M with entry (i, j) moved to (new[i], new[j]), in CSC with sorted
+    indices; explicit zeros and the signs of zeros stay."""
+    M = M.tocoo()
+    return sp.csc_matrix((M.data, (new[M.row], new[M.col])), shape=M.shape)
+
+
 def _assert_matches_central_differences(grid, st, dist, pin=None):
     """J d against (F(z + eps d) - F(z - eps d)) / (2 eps) for three random
-    unit directions d. With pin, r and the pin row join the system."""
+    unit directions d, both in the Jacobian's order. With pin, r and the
+    pin row join the system."""
     nx, ny = grid.nx, grid.ny
     n_int = nx * (ny - 1)
     parts = _residual_parts(st.psi, st.eta, st.r, grid, dist)
     J = _assemble_jacobian(st.psi, st.eta, parts, grid, dist, pin=pin)
+    order = _order(grid, pin)
 
     def residual(z):
         ps = st.psi.copy()
@@ -302,8 +320,8 @@ def _assert_matches_central_differences(grid, st, dist, pin=None):
     for _ in range(3):
         d = rng.standard_normal(J.shape[1])
         d /= np.linalg.norm(d)
-        fd = (residual(eps * d) - residual(-eps * d)) / (2.0 * eps)
-        Jd = J @ d
+        fd = ((residual(eps * d) - residual(-eps * d)) / (2.0 * eps))[order]
+        Jd = J @ d[order]
         assert np.max(np.abs(Jd - fd)) < 5e-5 * max(1.0, np.max(np.abs(Jd)))
 
 
@@ -367,11 +385,14 @@ def _scipy_jacobian(psi, eta, parts, grid, dist, pin=None):
 
 
 def _assert_bits_match_the_oracle(grid, st, dist, pin=None):
-    """The assembled Jacobian against _scipy_jacobian's CSC arrays, the
-    signs of zeros included. Returns the assembled one."""
+    """The assembled Jacobian against _scipy_jacobian's CSC arrays, taken
+    in the layout's order, the signs of zeros included. Returns the
+    assembled one."""
     parts = _residual_parts(st.psi, st.eta, st.r, grid, dist)
     J = _assemble_jacobian(st.psi, st.eta, parts, grid, dist, pin=pin)
-    ref = _scipy_jacobian(st.psi, st.eta, parts, grid, dist, pin=pin).tocsc()
+    ref = _renumbered(
+        _scipy_jacobian(st.psi, st.eta, parts, grid, dist, pin=pin),
+        np.argsort(_order(grid, pin)))
     assert J.format == "csc"
     for a, b in ((J.indptr, ref.indptr), (J.indices, ref.indices),
                  (J.data, ref.data), (np.signbit(J.data),
@@ -470,6 +491,112 @@ class TestJacobian:
         assert layout.cache_info()[:2] == (1, 4)
 
 
+@pytest.fixture
+def captured_factors(monkeypatch):
+    """Each (matrix, SuperLU factor) the solver makes."""
+    out = []
+
+    def capture(A, **kwargs):
+        out.append((A, splu(A, **kwargs)))
+        return out[-1][1]
+    splu = wavesolver.splu
+    monkeypatch.setattr(wavesolver, "splu", capture)
+    return out
+
+
+def _relative_residual(A, x, b):
+    return np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+
+
+class TestOrder:
+    """The nested-dissection order of the Jacobian and its factor."""
+
+    @pytest.mark.parametrize("nx, ny", [(16, 12), (64, 32), (65, 64)])
+    @pytest.mark.parametrize("topology", ["periodic", "reflect"])
+    @pytest.mark.parametrize("pin_index", [None, 0])
+    def test_order_is_a_permutation_with_eta_and_r_last(self, nx, ny,
+                                                        topology, pin_index):
+        order = wavesolver._jacobian_layout(nx, ny, topology, pin_index).order
+        n_int, n = nx * (ny - 1), nx * ny + (pin_index is not None)
+        assert np.array_equal(np.sort(order), np.arange(n))
+        assert np.array_equal(order[n_int:], np.arange(n_int, n))
+
+    @pytest.mark.parametrize("nx, periodic, expected", [
+        # a 5 x 3 box: two 2 x 3 leaves, then the middle column
+        (5, False, [0, 1, 2, 3, 4, 5, 9, 10, 11, 12, 13, 14, 6, 7, 8]),
+        # column 0 opens the ring and goes last; the rest is that box
+        (6, True, [3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 16, 17, 9, 10, 11,
+                   0, 1, 2])])
+    def test_small_boxes_split_at_the_middle_line(self, nx, periodic,
+                                                  expected):
+        assert wavesolver._nested_dissection(nx, 4, periodic).tolist() \
+            == expected
+
+    def test_a_tall_box_splits_across_q(self):
+        # 3 x 7 interior nodes: the middle row q = 3 separates the halves
+        order = wavesolver._nested_dissection(3, 8, False)
+        assert order[-3:].tolist() == [3, 10, 17]
+        assert sorted(order[:9] % 7) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+
+    @pytest.mark.parametrize("topology, nx, pin", [
+        ("periodic", 16, None), ("reflect", 9, (0, 1.01)),
+        ("periodic", 11, (3, 0.99))])
+    def test_solves_match_dense_solves(self, moving_bm1, topology, nx, pin):
+        grid = StripGrid(2.0, nx, 12, topology)
+        st = _wavy_state(moving_bm1, BM1, grid)
+        J = _assemble_jacobian(st.psi, st.eta, _residual_parts(
+            st.psi, st.eta, st.r, grid, BM1), grid, BM1, pin=pin)
+        dense = _renumbered(J, _order(grid, pin)).toarray()
+        lu = wavesolver._factor(J, grid, pin)
+        for b in np.random.default_rng(nx).standard_normal((2, J.shape[0])):
+            ref = np.linalg.solve(dense, b)
+            assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-10 * np.max(
+                np.abs(ref))
+
+    def test_seed_factor_makes_less_fill_than_minimum_degree(
+            self, moving_bm1, captured_factors):
+        # the continuation's seed Jacobian at 128 x 64: a 65 x 64 half
+        # grid with the pin, 4161 unknowns
+        wavesolver.bifurcation_branch(moving_bm1, BM1, BIFURCATION_K,
+                                      amplitude=0.01, nx=128, ny=64)
+        J, lu = captured_factors[0]
+        assert J.shape == (4161, 4161)
+        grid = StripGrid(2.0, 65, 64, "reflect")
+        natural = _renumbered(J, _order(grid, (0, 1.0)))
+        mmd = splu(natural, permc_spec="MMD_AT_PLUS_A")
+        assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
+        assert lu.L.nnz + lu.U.nnz <= 279_277
+        b = np.random.default_rng(4161).standard_normal(4161)
+        x = wavesolver._factor(J, grid, (0, 1.0)).solve(b)
+        assert _relative_residual(natural, x, b) <= 1e-10
+        ref = mmd.solve(b)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_fine_periodic_factor_matches_minimum_degree(self, still_b2):
+        grid = StripGrid(3.0, 256, 128)
+        st = perturbed_state(still_b2, B2, 3.0, 256, 128, amplitude=0.05)
+        J = _assemble_jacobian(st.psi, st.eta, _residual_parts(
+            st.psi, st.eta, st.r, grid, B2), grid, B2)
+        natural = _renumbered(J, _order(grid))
+        b = np.random.default_rng(256).standard_normal(J.shape[0])
+        x = wavesolver._factor(J, grid, None).solve(b)
+        assert _relative_residual(natural, x, b) <= 1e-10
+        ref = splu(natural, permc_spec="MMD_AT_PLUS_A").solve(b)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_order_is_built_once_per_shape(self, moving_bm1,
+                                           captured_factors):
+        # two continuations, two grids of one shape: one layout and one
+        # order, shared by both seed factors
+        wavesolver._jacobian_layout.cache_clear()
+        for a in (0.01, 0.012):
+            wavesolver.bifurcation_branch(moving_bm1, BM1, BIFURCATION_K,
+                                          amplitude=a, nx=128, ny=64)
+        info = wavesolver._jacobian_layout.cache_info()
+        assert info.misses == 1 and info.hits >= 1
+        assert len(captured_factors) >= 2
+
+
 def _singular_flat_solver(*args):
     raise RuntimeError("flat Jacobian is singular")
 
@@ -512,7 +639,8 @@ class TestNewton:
         st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
         grid = StripGrid(2.0, 16, 12)
         n = grid.nx * grid.ny
-        singular = partial(wavesolver._factor, sp.csc_matrix((n, n)))
+        singular = partial(wavesolver._factor, sp.csc_matrix((n, n)), grid,
+                           None)
         chord = _newton_core(st.psi, st.eta, st.r, grid, B2, 1e-10, 40,
                              reference=singular)
         assert [r.getMessage().split(" (")[0] for r in caplog.records] == [
@@ -1086,7 +1214,7 @@ def _assert_flat_solver_matches_splu(flat, dist):
                                    dist).solver(grid)
     parts = _residual_parts(flat.psi, flat.eta, flat.r, grid, dist)
     lu = wavesolver._factor(
-        _assemble_jacobian(flat.psi, flat.eta, parts, grid, dist))
+        _assemble_jacobian(flat.psi, flat.eta, parts, grid, dist), grid, None)
     for b in np.random.default_rng(nx * ny).standard_normal((2, nx * ny)):
         ref = lu.solve(b)
         assert np.max(np.abs(solver.solve(b) - ref)) <= 1e-12 * np.max(
@@ -1201,7 +1329,7 @@ class TestFlatSolver:
         _assert_flat_solver_matches_splu(flat, dist)
         parts = _residual_parts(flat.psi, flat.eta, flat.r, grid, dist)
         lu = partial(wavesolver._factor, _assemble_jacobian(
-            flat.psi, flat.eta, parts, grid, dist))
+            flat.psi, flat.eta, parts, grid, dist), grid, None)
         _, eta, _, its, _ = _newton_core(st_.psi, st_.eta, st_.r, grid, dist,
                                          wavesolver.NEWTON_TOL,
                                          wavesolver.MAX_NEWTON_ITER,
@@ -1252,8 +1380,9 @@ class TestFlatSolver:
         st = flat_state(sol, dist, 3.0, nx, ny)
         grid = StripGrid(3.0, nx, ny)
         model = wavesolver._FlatModel(st.psi[0], sol.depth, grid, dist)
-        J = _assemble_jacobian(st.psi, st.eta, _residual_parts(
-            st.psi, st.eta, st.r, grid, dist), grid, dist)
+        J = _renumbered(_assemble_jacobian(st.psi, st.eta, _residual_parts(
+            st.psi, st.eta, st.r, grid, dist), grid, dist),
+            _order(grid))
         n_int = nx * (ny - 1)
         rows = J[n_int:, :n_int].toarray().reshape(nx, nx, ny - 1)
         cols = J[:n_int, n_int:].toarray().reshape(nx, ny - 1, nx)
