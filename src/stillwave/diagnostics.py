@@ -21,7 +21,7 @@ small-amplitude rigidity argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,8 @@ from .errors import DepthMismatch
 from .stream import StreamSolution
 from .vorticity import VorticityDistribution
 from .wavesolver import (FLAT_TOL, StripGrid, WaveState,
-                         _FlatModel, _difference_matrices, flat_state)
+                         _FlatModel, _difference_matrices, _scaled,
+                         flat_state)
 
 __all__ = [
     "PerturbationFields",
@@ -50,17 +51,30 @@ __all__ = [
 
 @dataclass
 class PerturbationFields:
-    """Deviation fields of a state relative to a stream solution."""
+    """Deviation fields of a state relative to a stream solution; those
+    derived from the others are computed once, on construction."""
 
     state: WaveState
     grid: StripGrid    # the state's periodic grid
-    ex: np.ndarray     # (nx,): discrete eta_x
+    ex: np.ndarray = field(init=False)  # (nx,): discrete eta_x
     phi: np.ndarray    # (nx, ny+1): psi - U(q eta)
     zeta: np.ndarray   # (nx,): h - eta
     u: np.ndarray      # (nx, ny+1): (1 - U(eta)) q
     w: np.ndarray      # (nx, ny+1): phi - u; zero on bed and surface
-    slope_sup: float   # sup |eta_x|
-    amp_sup: float     # sup (h - eta), signed
+    slope_sup: float = field(init=False)  # sup |eta_x|
+    amp_sup: float = field(init=False)    # sup (h - eta), signed
+    # (nx,): the normal derivative of phi on the free surface
+    dn_phi: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        grid, eta, phi = self.grid, self.state.eta, self.phi
+        self.ex = ex = grid.Dx @ eta
+        self.slope_sup = float(np.max(np.abs(ex)))
+        self.amp_sup = float(np.max(self.zeta))
+        # the surface column of _physical_gradient(phi) alone
+        fq = (grid.Dq @ phi.T)[-1]
+        fx = grid.Dx @ phi[:, -1] - grid.q[-1] * (ex / eta) * fq
+        self.dn_phi = (-ex * fx + fq / eta) / np.sqrt(1.0 + ex ** 2)
 
 
 def perturbation_fields(state: WaveState,
@@ -77,8 +91,7 @@ def perturbation_fields(state: WaveState,
         raise DepthMismatch(
             f"state mean depth {mean_eta:.6g} vs stream depth {h:.6g}")
 
-    q = state.q
-    eta = state.eta
+    q, eta = state.q, state.eta
     y = q[None, :] * eta[:, None]
     Ugrid = np.asarray(sol.U(y.ravel()), dtype=float).reshape(y.shape)
     phi = state.psi - Ugrid
@@ -87,11 +100,8 @@ def perturbation_fields(state: WaveState,
     u = surf_gap[:, None] * q[None, :]
     w = phi - u
     grid = StripGrid(state.period_L, state.nx, state.ny, "periodic")
-    ex = grid.Dx @ eta
-    return PerturbationFields(state=state, grid=grid, ex=ex,
-                              phi=phi, zeta=zeta, u=u, w=w,
-                              slope_sup=float(np.max(np.abs(ex))),
-                              amp_sup=float(np.max(zeta)))
+    return PerturbationFields(state=state, grid=grid, phi=phi, zeta=zeta,
+                              u=u, w=w)
 
 
 def windowed_norm(values: np.ndarray, t: float, p: float,
@@ -172,25 +182,14 @@ def surface_quartic_weighted(zeta: np.ndarray, delta: float, t: float,
     zeta = np.asarray(zeta, dtype=float)
     n = zeta.shape[0]
     dx = period_L / n
-    zx = _difference_matrices(n, dx, "periodic")[0] @ zeta
-    x = np.arange(n) * dx
-    W = _copy_weight(x, t, delta, period_L)
+    zx = _scaled(_difference_matrices(n, "periodic")[0], 1.0 / dx) @ zeta
+    W = _copy_weight(np.arange(n) * dx, t, delta, period_L)
     return float(np.sum(W * zeta ** 2 * (zeta ** 2 + zx ** 2)) * dx)
-
-
-def _surface_normal_derivative(fields: PerturbationFields) -> np.ndarray:
-    """Normal derivative of phi at the free surface, from the surface
-    column of _physical_gradient alone."""
-    grid, eta, ex, phi = fields.grid, fields.state.eta, fields.ex, fields.phi
-    fq = (grid.Dq @ phi.T)[-1]
-    fx = grid.Dx @ phi[:, -1] - grid.q[-1] * (ex / eta) * fq
-    return (-ex * fx + fq / eta) / np.sqrt(1.0 + ex ** 2)
 
 
 def trace_norm(fields: PerturbationFields, t: float = 0.0) -> float:
     """Windowed L^2 norm of phi's normal derivative on the free surface."""
-    return windowed_norm(_surface_normal_derivative(fields), t, 2.0,
-                         fields.state.period_L)
+    return windowed_norm(fields.dn_phi, t, 2.0, fields.state.period_L)
 
 
 def bernoulli_check(fields: PerturbationFields, sol: StreamSolution) -> float:
@@ -201,14 +200,10 @@ def bernoulli_check(fields: PerturbationFields, sol: StreamSolution) -> float:
     on the free surface. zeta is clamped at zero under the square root;
     for a flat still state both sides vanish.
     """
-    return _bernoulli_defect(fields, sol, _surface_normal_derivative(fields))
-
-
-def _bernoulli_defect(fields, sol, dn_phi) -> float:
-    """bernoulli_check with d_n phi given."""
     zx = fields.grid.Dx @ fields.zeta
     uy_eta = np.asarray(sol.Uy(fields.state.eta), dtype=float)
-    rhs = np.abs(dn_phi + uy_eta / np.sqrt(1.0 + zx ** 2)) / math.sqrt(2.0)
+    rhs = (np.abs(fields.dn_phi + uy_eta / np.sqrt(1.0 + zx ** 2))
+           / math.sqrt(2.0))
     lhs = np.sqrt(np.clip(fields.zeta, 0.0, None))
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -258,7 +253,7 @@ def _solve_first_order_model(sol: StreamSolution, dist: VorticityDistribution,
 
     # the flat psi-block of the free-boundary Jacobian at depth h, one
     # tridiagonal block per rfft mode in x
-    solve = _FlatModel(ucol, h, grid, dist).at(grid._dxx_symbol)
+    solve = _FlatModel(ucol, h, ny, dist).at(grid._dxx_symbol)
     w_hat = solve(np.fft.rfft(rhs.T))
     w_int = np.fft.irfft(w_hat, nx).T
 
@@ -285,11 +280,8 @@ def manufactured_fields(sol: StreamSolution, dist: VorticityDistribution,
     base = flat_state(sol, dist, period_L, nx, ny)
     state = WaveState(period_L=period_L, nx=nx, ny=ny,
                       psi=base.psi + u + w, eta=h - zeta, r=base.r)
-    ex = grid.Dx @ state.eta
-    return PerturbationFields(state=state, grid=grid, ex=ex,
-                              phi=u + w, zeta=zeta, u=u, w=w,
-                              slope_sup=float(np.max(np.abs(ex))),
-                              amp_sup=float(np.max(zeta)))
+    return PerturbationFields(state=state, grid=grid, phi=u + w, zeta=zeta,
+                              u=u, w=w)
 
 
 def quartic_scaling(sol: StreamSolution, dist: VorticityDistribution,
@@ -343,11 +335,10 @@ def diagnostics_report(state: WaveState, sol: StreamSolution,
     # on a state flat to FLAT_TOL the ratio divides roundoff by roundoff
     flat = float(np.max(np.abs(fields.zeta))) < FLAT_TOL
     ratio = energy / quart if quart > 0 and not flat else None
-    dn_phi = _surface_normal_derivative(fields)
     return DiagnosticsReport(
         t=float(t), delta=float(delta),
         slope_sup=fields.slope_sup, amp_sup=fields.amp_sup,
         windowed_zeta=windowed_norm(fields.zeta, t, 2.0, state.period_L),
         energy=energy, surface_quartic=quart, energy_ratio=ratio,
-        trace_phi=windowed_norm(dn_phi, t, 2.0, state.period_L),
-        bernoulli_defect=_bernoulli_defect(fields, sol, dn_phi))
+        trace_phi=trace_norm(fields, t),
+        bernoulli_defect=bernoulli_check(fields, sol))

@@ -38,11 +38,12 @@ def check_hypotheses(dist: VorticityDistribution, sol: StreamSolution,
                      slope_bound: float) -> HypothesisReport:
     """Evaluate the nonexistence hypotheses for one still stream solution.
 
-    slope_bound is the cap the caller intends to impose on surface slopes;
-    it is recorded for the report and does not enter the spectral test.
+    slope_bound, the caller's cap on surface slopes, must be positive and
+    finite (ValueError otherwise); it is recorded, not used in the test.
     """
-    if slope_bound <= 0:
-        raise ValueError("slope_bound must be positive")
+    if not 0.0 < slope_bound < math.inf:
+        raise ValueError(f"slope_bound must be a positive finite number, "
+                         f"got {slope_bound!r}")
     h = sol.depth
     mu = float(dist.sup_derivative())
     bound = (math.pi / h) ** 2

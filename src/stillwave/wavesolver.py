@@ -32,8 +32,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, lru_cache
-from types import SimpleNamespace
+from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -88,24 +87,27 @@ VERDICT_INCONCLUSIVE = "inconclusive: solver failures"
 
 
 @lru_cache(maxsize=8)
-def _difference_matrices(n: int, h: float, closure: str):
-    """First and second difference matrices (CSR) on n nodes of spacing h,
-    built once per (n, h, closure) and shared, so their arrays are read-only.
+def _difference_matrices(n: int, closure: str):
+    """First and second difference matrices (CSR) on n nodes, built once
+    per (n, closure) and shared, so their arrays are read-only.
 
     Inside, the three-point centered stencils. The end rows are closed by
     closure: "periodic" wraps the stencils around, "reflect" mirrors the
     nodes evenly about each end, f(-h) = f(h), so the first difference
     vanishes there, and "one-sided" uses second-order one-sided stencils.
+    The one-sided pair spans [0, 1]. The x pairs have unit spacing: scaled
+    by 1/h and 1/h^2 they are the stencils at spacing h to the bit.
     """
+    width = 4 if closure == "one-sided" else 3
+    if n < width:
+        raise ValueError(f"{closure} stencils need at least {width} nodes")
+    h = 1.0 / (n - 1) if closure == "one-sided" else 1.0
     c1, c2 = 1.0 / (2.0 * h), 1.0 / h ** 2
     if closure == "one-sided":
         ends = ((-3.0 * c1, 4.0 * c1, -c1),
                 (2.0 * c2, -5.0 * c2, 4.0 * c2, -c2))
     else:
         ends = ((), (-2.0 * c2, 2.0 * c2))
-    width = 4 if closure == "one-sided" else 3
-    if n < width:
-        raise ValueError(f"{closure} stencils need at least {width} nodes")
     mats = []
     # row 0 takes its end stencil at offsets 0, 1, ...; row n-1 the mirror
     # image at offsets 0, -1, ..., with the sign flipped for D1
@@ -131,6 +133,13 @@ def _difference_matrices(n: int, h: float, closure: str):
     return tuple(mats)
 
 
+def _scaled(D, s: float):
+    """s D, sharing D's read-only index arrays, with read-only data."""
+    data = D.data * s
+    data.flags.writeable = False
+    return sp.csr_matrix((data, D.indices, D.indptr), shape=D.shape)
+
+
 class StripGrid:
     """Difference operators on the mapped rectangle.
 
@@ -138,8 +147,9 @@ class StripGrid:
     with circulant x-stencils. topology "reflect": nx nodes cover half a
     period [0, L/2] endpoints included, with even reflection closing the
     x-stencils; this is the natural grid for waves with a crest at x = 0
-    and a trough at x = L/2. Grids of one (L, nx, ny, topology) share their
-    difference matrices; Jacobian patterns are cached per grid shape.
+    and a trough at x = L/2. Grids of one shape share their q matrices
+    and the index arrays of their x pair, which each grid scales from the
+    unit-spacing stencils; Jacobian patterns are cached per grid shape.
     """
 
     def __init__(self, period_L: float, nx: int, ny: int,
@@ -161,8 +171,10 @@ class StripGrid:
         self.dq = 1.0 / ny
         self.q = np.linspace(0.0, 1.0, ny + 1)
 
-        self.Dx, self.Dxx = _difference_matrices(nx, self.dx, topology)
-        self.Dq, self.Dqq = _difference_matrices(ny + 1, self.dq, "one-sided")
+        Dx, Dxx = _difference_matrices(nx, topology)
+        self.Dx = _scaled(Dx, 1.0 / self.dx)
+        self.Dxx = _scaled(Dxx, 1.0 / self.dx ** 2)
+        self.Dq, self.Dqq = _difference_matrices(ny + 1, "one-sided")
 
     @cached_property
     def _dxx_symbol(self) -> np.ndarray:
@@ -261,8 +273,6 @@ def _polish_flat_column(col: np.ndarray, h: float, ny: int,
     1-D system remove it. Second differences are evaluated by nested
     np.diff, which keeps the cancellation clean near the roundoff floor.
     """
-    if ny < 3:
-        raise ValueError("one-sided q stencils need at least 4 nodes")
     dq = 1.0 / ny
     col = col.copy()
     col[0], col[-1] = 0.0, 1.0
@@ -299,16 +309,12 @@ def flat_state(sol: StreamSolution, dist: VorticityDistribution,
     r is set from Psi_q(h) by the grid's own one-sided Dq, so the state
     meets its Bernoulli rows to an ulp of 3 r: a fixed point of newton_solve.
     """
-    h = sol.depth
+    h, Dq = sol.depth, _difference_matrices(ny + 1, "one-sided")[0]
     q = np.linspace(0.0, 1.0, ny + 1)
-    col = np.asarray(sol.U(q * h), dtype=float)
-    col = _polish_flat_column(col, h, ny, dist)
-    psi = np.tile(col, (nx, 1))
-    eta = np.full(nx, h)
-    pq_s = (_difference_matrices(ny + 1, 1.0 / ny, "one-sided")[0] @ col)[-1]
-    r = ((pq_s / h) ** 2 + 2.0 * h) / 3.0
-    return WaveState(period_L=float(period_L), nx=nx, ny=ny, psi=psi,
-                     eta=eta, r=r)
+    col = _polish_flat_column(np.asarray(sol.U(q * h), float), h, ny, dist)
+    r = (((Dq @ col)[-1] / h) ** 2 + 2.0 * h) / 3.0
+    return WaveState(period_L=float(period_L), nx=nx, ny=ny,
+                     psi=np.tile(col, (nx, 1)), eta=np.full(nx, h), r=r)
 
 
 def perturbed_state(sol: StreamSolution, dist: VorticityDistribution,
@@ -338,15 +344,15 @@ class _ResidualParts(NamedTuple):
     pq: np.ndarray         # (nx, ny + 1), Psi_q
     pqq: np.ndarray        # (nx, ny + 1), Psi_qq
     pxq: np.ndarray        # (nx, ny + 1), Psi_xq
-    c_qq: np.ndarray       # (nx, ny + 1), the mapped Laplacian's
+    c_qq: np.ndarray       # (nx, ny - 1), the mapped Laplacian's
     c_xq: np.ndarray       # coefficients of Psi_qq, Psi_xq and Psi_q
-    c_q: np.ndarray
+    c_q: np.ndarray        # on the interior q nodes
 
 
 def _residual_parts(psi, eta, r, grid: StripGrid,
                     dist: VorticityDistribution) -> _ResidualParts:
-    ny = grid.ny
-    q = grid.q[None, :]
+    ny, inner = grid.ny, slice(1, grid.ny)
+    q = grid.q[None, inner]
     ex = grid.Dx @ eta
     exx = grid.Dxx @ eta
     inv_eta = 1.0 / eta[:, None]
@@ -360,8 +366,9 @@ def _residual_parts(psi, eta, r, grid: StripGrid,
     c_xq = -2.0 * q * ex[:, None] * inv_eta
     c_q = q * (2.0 * (ex[:, None] * inv_eta) ** 2 - exx[:, None] * inv_eta)
 
-    lap = pxx + c_qq * pqq + c_xq * pxq + c_q * pq
-    pde = lap[:, 1:ny] + np.asarray(dist.omega(psi[:, 1:ny]), dtype=float)
+    pde = (pxx[:, inner] + c_qq * pqq[:, inner] + c_xq * pxq[:, inner]
+           + c_q * pq[:, inner]
+           + np.asarray(dist.omega(psi[:, inner]), dtype=float))
 
     bern = (1.0 + ex ** 2) * (pq[:, ny] / eta) ** 2 + 2.0 * eta - 3.0 * r
     return _ResidualParts(pde=pde, bern=bern, bottom=psi[:, 0],
@@ -395,7 +402,7 @@ def residual_norms(state: WaveState, dist: VorticityDistribution) -> ResidualNor
 def _factor(A, grid: StripGrid, pin: Optional[tuple]):
     """SuperLU factor of a Jacobian A of _assemble_jacobian on grid (with
     pin), whose rows and columns follow the order of _layout_of(grid, pin),
-    as an object whose solve(b) takes and returns vectors in the natural
+    as a solve function that takes and returns vectors in the natural
     order. SuperLU takes the columns as they stand (permc_spec "NATURAL"),
     so that order is the fill-reducing one: on the strip Jacobians the
     nested dissection of _jacobian_layout makes less fill than a
@@ -408,7 +415,7 @@ def _factor(A, grid: StripGrid, pin: Optional[tuple]):
         x = np.empty(b.shape)
         x[order] = lu.solve(b[order])
         return x
-    return SimpleNamespace(solve=solve)
+    return solve
 
 
 def _nested_dissection(nx: int, ny: int, periodic: bool) -> np.ndarray:
@@ -448,8 +455,7 @@ class _Layout(NamedTuple):
     indices: np.ndarray  # int32 CSC row indices
     indptr: np.ndarray   # int32 CSC column pointers
     pos: np.ndarray      # the place in indices of each term entry
-    bounds: np.ndarray   # each term's slice of pos
-    terms: tuple         # per term (a, b, gather): see _jacobian_layout
+    terms: tuple         # per term (a, b, coef, rows, span, keeps_zeros)
     order: np.ndarray
 
 
@@ -459,35 +465,31 @@ def _jacobian_layout(nx: int, ny: int, topology: str, pin_index) -> _Layout:
     one CSC pattern whose rows and columns follow a nested-dissection
     order: the interior psi unknowns by _nested_dissection, then eta, then
     r (each eta column spans every interior row of three x nodes, and r
-    every Bernoulli row). Each term kron(A, B) has the products a b of
-    the entries of A and B in row-major order, times a coefficient taken
-    at gather; a is the name of the grid's x operator ("Dx", "Dxx"), whose
-    entries depend on its spacing, or A's entries, and b holds B's, which
-    depend on ny alone. The pattern keys col * n + row are int32 when n^2
-    fits."""
-    def entries(M):  # a CSR or a dense matrix
-        if sp.issparse(M):
-            return (np.repeat(np.arange(M.shape[0], dtype=np.int32),
-                              np.diff(M.indptr)), M.indices, M.data, M.shape)
-        row, col = np.array(np.nonzero(M), dtype=np.int32)
-        return row, col, M[row, col], M.shape
+    every Bernoulli row). Each term diag(coef) kron(A, B) fills pos[span]
+    with the products a b of the entries of A and B in row-major order,
+    times the values at rows (each entry's row in the term) of the
+    coefficient that _assemble_jacobian names coef; a is the name of the
+    grid's x operator ("Dx", "Dxx"), whose entries depend on its spacing,
+    or A's entries, and b holds B's, which depend on ny alone. Only
+    bern_psi S keeps its exact zeros. The pattern keys col * n + row are
+    int32 when n^2 fits."""
+    def entries(M):  # row, column and value of each entry, row-major
+        M = sp.csr_matrix(M)
+        return (np.repeat(np.arange(M.shape[0], dtype=np.int32),
+                          np.diff(M.indptr)), M.indices, M.data, M.shape)
     inner, n_int = slice(1, ny), nx * (ny - 1)
     n = n_int + nx + (pin_index is not None)
-    x_ops = dict(zip(("Dx", "Dxx"), _difference_matrices(nx, 1.0, topology)))
-    Dq, Dqq = (D.toarray() for D in
-               _difference_matrices(ny + 1, 1.0 / ny, "one-sided"))
+    x_ops = dict(zip(("Dx", "Dxx"), _difference_matrices(nx, topology)))
+    Dq, Dqq = _difference_matrices(ny + 1, "one-sided")
     Ix, Im, one = sp.identity(nx, format="csr"), np.eye(ny - 1), np.eye(1)
-    col = np.ones((ny - 1, 1))
-    # (width, first) of a term's coefficient: an (nx, width) array whose
-    # column first holds interior q node 1
-    field, interior, node = (ny + 1, 1), (ny - 1, 0), (1, 0)
-    terms = [(0, 0, "Dxx", Im, None), (0, 0, Ix, Dqq[inner, inner], field),
-             (0, 0, "Dx", Dq[inner, inner], field),
-             (0, 0, Ix, Dq[inner, inner], field), (0, 0, Ix, Im, interior),
-             (0, n_int, Ix, col, field), (0, n_int, "Dx", col, field),
-             (0, n_int, "Dxx", col, field),
-             (n_int, 0, Ix, Dq[ny:, inner], node),
-             (n_int, n_int, Ix, one, node), (n_int, n_int, "Dx", one, node)]
+    col, Dqi, Dqqi = np.ones((ny - 1, 1)), Dq[inner, inner], Dqq[inner, inner]
+    terms = [(0, 0, "Dxx", Im, None), (0, 0, Ix, Dqqi, "c_qq"),
+             (0, 0, "Dx", Dqi, "c_xq"), (0, 0, Ix, Dqi, "c_q"),
+             (0, 0, Ix, Im, "omega_psi"), (0, n_int, Ix, col, "d_eta"),
+             (0, n_int, "Dx", col, "d_ex"), (0, n_int, "Dxx", col, "d_exx"),
+             (n_int, 0, Ix, Dq[ny:, inner], "bern_psi"),
+             (n_int, n_int, Ix, one, "bern_eta"),
+             (n_int, n_int, "Dx", one, "bern_ex")]
     if pin_index is not None:  # the r column and the pin row
         terms += [(n_int, n_int + nx, np.full((nx, 1), -3.0), one, None),
                   (n_int + nx, n_int, np.eye(1, nx, pin_index), one, None)]
@@ -496,22 +498,23 @@ def _jacobian_layout(nx: int, ny: int, topology: str, pin_index) -> _Layout:
     key = np.int32 if n * n < 2 ** 31 else np.int64
     rank = np.empty(n, key)
     rank[order] = np.arange(n, dtype=key)
-    keys, specs = [], []
+    keys, specs, lo = [], [], 0
     for r, c, A, B, coef in terms:
         ar, ac, a, _ = entries(x_ops[A] if isinstance(A, str) else A)
         br, bc, b, (mb, nb) = entries(B)
-        keys.append((rank[(c + ac[:, None] * nb + bc).ravel()] * n
-                     + rank[(r + ar[:, None] * mb + br).ravel()]))
-        specs.append((A if isinstance(A, str) else a, b, None if coef is None
-                      else (ar[:, None] * coef[0] + br + coef[1]).ravel()))
+        rows = (ar[:, None] * mb + br).ravel()
+        keys.append(rank[(c + ac[:, None] * nb + bc).ravel()] * n
+                    + rank[r + rows])
+        specs.append((A if isinstance(A, str) else a, b, coef,
+                      rows if coef else None, slice(lo, lo + rows.size),
+                      coef == "bern_psi"))
+        lo += rows.size
     union = np.sort(np.concatenate(keys))
     union = union[np.append(True, union[1:] != union[:-1])]
     indptr = np.searchsorted(union, np.arange(n + 1, dtype=key) * n)
     return _Layout((union % n).astype(np.int32), indptr.astype(np.int32),
                    np.concatenate([np.searchsorted(union, k).astype(np.int32)
-                                   for k in keys]),
-                   np.cumsum([0] + [k.size for k in keys]), tuple(specs),
-                   order)
+                                   for k in keys]), tuple(specs), order)
 
 
 def _layout_of(grid: StripGrid, pin: Optional[tuple]) -> _Layout:
@@ -520,23 +523,25 @@ def _layout_of(grid: StripGrid, pin: Optional[tuple]) -> _Layout:
                             None if pin is None else pin[0])
 
 
-def _linear_coefficients(q, eta, ex, exx, pq, pqq, pxq):
-    """d_eta, d_ex, d_exx (shaped like pq) and bern_psi, bern_eta, bern_ex
-    (like eta) of _assemble_jacobian, at a state with the fields of
-    _ResidualParts and q = grid.q as a row."""
+def _linear_coefficients(q, eta, ex, exx, pq, pqq, pxq) -> dict:
+    """d_eta, d_ex, d_exx (on the interior q nodes) and bern_psi, bern_eta,
+    bern_ex (like eta) of _assemble_jacobian, by name, at a state with the
+    fields of _ResidualParts and q = grid.q as a row."""
     inv_eta = 1.0 / eta[:, None]
-    qe = q * ex[:, None] * inv_eta
     pq_s, s2 = pq[:, -1], (pq[:, -1] / eta) ** 2
-    return (-2.0 * (1.0 + (q * ex[:, None]) ** 2) * inv_eta ** 3 * pqq
-            + 2.0 * qe * inv_eta * pxq
-            + q * (exx[:, None] - 4.0 * ex[:, None] ** 2 * inv_eta)
-            * inv_eta ** 2 * pq,
-            2.0 * q * qe * inv_eta * pqq - 2.0 * q * inv_eta * pxq
-            + 4.0 * qe * inv_eta * pq,
-            -q * inv_eta * pq,
-            2.0 * (1.0 + ex ** 2) * pq_s / eta ** 2,
-            2.0 - 2.0 * (1.0 + ex ** 2) * s2 / eta,
-            2.0 * ex * s2)
+    q, pq, pqq, pxq = (a[:, 1:-1] for a in (q, pq, pqq, pxq))
+    qe = q * ex[:, None] * inv_eta
+    return dict(
+        d_eta=(-2.0 * (1.0 + (q * ex[:, None]) ** 2) * inv_eta ** 3 * pqq
+               + 2.0 * qe * inv_eta * pxq
+               + q * (exx[:, None] - 4.0 * ex[:, None] ** 2 * inv_eta)
+               * inv_eta ** 2 * pq),
+        d_ex=(2.0 * q * qe * inv_eta * pqq - 2.0 * q * inv_eta * pxq
+              + 4.0 * qe * inv_eta * pq),
+        d_exx=-q * inv_eta * pq,
+        bern_psi=2.0 * (1.0 + ex ** 2) * pq_s / eta ** 2,
+        bern_eta=2.0 - 2.0 * (1.0 + ex ** 2) * s2 / eta,
+        bern_ex=2.0 * ex * s2)
 
 
 def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
@@ -558,26 +563,25 @@ def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
     bincount (Cuvelier, Japhet & Scarella, BIT Numer. Math. 56, 2016), and
     exact zeros go, except in bern_psi S.
     """
-    d = _linear_coefficients(grid.q[None, :], eta, parts.ex, parts.exx,
-                             parts.pq, parts.pqq, parts.pxq)
-    coefs = [None, parts.c_qq, parts.c_xq, parts.c_q,
-             np.asarray(dist.derivative(psi[:, 1:grid.ny]), dtype=float), *d]
+    # a value per row of its terms: at each interior node or x node
+    coefs = _linear_coefficients(grid.q[None, :], eta, parts.ex, parts.exx,
+                                 parts.pq, parts.pqq, parts.pxq)
+    coefs.update(c_qq=parts.c_qq, c_xq=parts.c_xq, c_q=parts.c_q,
+                 omega_psi=np.asarray(dist.derivative(psi[:, 1:-1]), float))
     layout = _layout_of(grid, pin)
-    pos, bounds = layout.pos, layout.bounds
+    pos, indices, indptr = layout.pos, layout.indices, layout.indptr
     vals = np.empty(pos.size)
-    for coef, (a, b, gather), lo, hi in zip(coefs + [None, None],
-                                            layout.terms, bounds, bounds[1:]):
+    for a, b, coef, rows, span, _ in layout.terms:
         if isinstance(a, str):
             a = getattr(grid, a).data
-        np.multiply.outer(a, b, out=vals[lo:hi].reshape(a.size, b.size))
-        if gather is not None:
-            vals[lo:hi] *= coef.take(gather)
-    indices, indptr = layout.indices, layout.indptr
+        np.multiply.outer(a, b, out=vals[span].reshape(a.size, b.size))
+        if coef is not None:
+            vals[span] *= coefs[coef].take(rows)
     data = np.bincount(pos, vals, indices.size)
-    bp = pos[bounds[8]:bounds[9]]  # bern_psi S, alone at its places
-    data[bp] = vals[bounds[8]:bounds[9]]  # zeros keep their signs
     keep = data != 0.0
-    keep[bp] = True
+    for *_, span, keeps_zeros in layout.terms:
+        if keeps_zeros:  # alone at its places: zeros keep their signs
+            data[pos[span]], keep[pos[span]] = vals[span], True
     kept = np.flatnonzero(keep)
     return sp.csc_matrix((data[kept], indices[kept],
                           np.searchsorted(kept, indptr)),
@@ -587,8 +591,8 @@ def _assemble_jacobian(psi, eta, parts: _ResidualParts, grid: StripGrid,
 class _FlatModel:
     """The Jacobian at the x-independent state of stream column col and
     depth h, mode by mode in x (Strang, Stud. Appl. Math. 74, 1986; Chan,
-    SIAM J. Sci. Stat. Comput. 9, 1988). It reads only grid's q operators,
-    so one model serves every period on ny. The mode of Dxx symbol lam
+    SIAM J. Sci. Stat. Comput. 9, 1988). It reads only the q operators,
+    so one model serves every grid on ny. The mode of Dxx symbol lam
     (StripGrid._dxx_symbol) holds T(lam) = c Dqq + diag(omega'(col)) + lam I
     on the interior q nodes, bordered by the eta column, the Bernoulli row
     (border) and the corner bern_eta, all from _linear_coefficients at
@@ -597,15 +601,17 @@ class _FlatModel:
     (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
     """
 
-    def __init__(self, col, h, grid: StripGrid, dist):
-        inner, zero, eta = slice(1, grid.ny), np.zeros(1), np.full(1, h)
-        d_eta, _, d_exx, bern_psi, self.bern_eta, _ = _linear_coefficients(
-            grid.q[None, :], eta, zero, zero, (grid.Dq @ col)[None, :],
-            (grid.Dqq @ col)[None, :], zero)
+    def __init__(self, col, h, ny: int, dist):
+        inner, zero, eta = slice(1, ny), np.zeros(1), np.full(1, h)
+        Dq, Dqq = _difference_matrices(ny + 1, "one-sided")
+        pq, pqq = ((D @ col)[None, :] for D in (Dq, Dqq))
+        d = _linear_coefficients(np.linspace(0.0, 1.0, ny + 1)[None, :], eta,
+                                 zero, zero, pq, pqq, np.zeros_like(pq))
         # the eta column at lam is column[0] + column[1] lam
-        self.column = (d_eta[:, inner].T, d_exx[:, inner].T)
-        self.border = bern_psi * grid.Dq[-1, inner].toarray()[0]
-        c, Dqq = (1.0 / eta) ** 2, grid.Dqq[inner, inner]
+        self.column = (d["d_eta"].T, d["d_exx"].T)
+        self.border = d["bern_psi"] * Dq[-1, inner].toarray()[0]
+        self.bern_eta = d["bern_eta"]
+        c, Dqq = (1.0 / eta) ** 2, Dqq[inner, inner]
         self.mu, self.V = eigh_tridiagonal(
             c * Dqq.diagonal()
             + np.asarray(dist.derivative(col[inner]), dtype=float),
@@ -639,9 +645,9 @@ class _FlatModel:
         return self.bern_eta - self.border @ self.response(lam)
 
     def solver(self, grid: StripGrid):
-        """The Jacobian on grid, as an object whose solve(b) is an rfft in
-        x, one block solve, the Schur step and an irfft. Raises
-        RuntimeError when a block or a Schur complement is singular."""
+        """The Jacobian on grid, as a solve function: an rfft in x, one
+        block solve, the Schur step and an irfft. Raises RuntimeError
+        when a block or a Schur complement is singular."""
         nx, lam = grid.nx, grid._dxx_symbol
         block_solve, Y = self.at(lam), self.response(lam)
         schur = self.bern_eta - self.border @ Y
@@ -660,7 +666,7 @@ class _FlatModel:
             f[:-1] = z - Y * f[-1]
             out = np.fft.irfft(f, nx)
             return np.concatenate([out[:-1].T.ravel(), out[-1]])
-        return SimpleNamespace(solve=solve)
+        return solve
 
 
 def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
@@ -672,12 +678,13 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
     Boundary rows of psi are held exact throughout; with pin the
     Bernoulli constant r is released and eta[pin0] = pin1 is enforced.
 
-    reference, when given, is called before the first step for a solver
-    (an object with solve: a _FlatModel.solver or a SuperLU factor) of a
-    Jacobian near the solution, and the iteration starts as the chord
-    method on it (Kelley, Iterative Methods for Linear and Nonlinear
-    Equations, SIAM 1995, ch. 5): dz = -lu.solve(F), full steps only. A chord step is accepted when it keeps the surface
-    positive and reaches tol or contracts max|F| by CHORD_CONTRACTION.
+    reference, when given, is called before the first step for the solve
+    function (a _FlatModel.solver or a _factor) of a Jacobian near the
+    solution, and the iteration starts as the chord method on it (Kelley,
+    Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
+    ch. 5): dz = -solve(F), full steps only. A chord step is accepted
+    when it keeps the surface positive and reaches tol or contracts
+    max|F| by CHORD_CONTRACTION.
     Otherwise, and when reference raises RuntimeError (an exactly singular
     Jacobian), that same iteration and every later one take the exact
     damped Newton step, so a failed chord trial costs a solve and a
@@ -710,20 +717,20 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
         return (psi_t, eta_t, r_t, *evaluate(psi_t, eta_t, r_t))
 
     parts, F, norm = evaluate(psi, eta, r)
-    lu = None
+    chord = None
 
     for it in range(max_iter):
         if norm <= tol:
             return psi, eta, r, it, parts
         if reference is not None:
             try:
-                lu = reference()
+                chord = reference()
             except RuntimeError as exc:
                 _log.debug("singular chord reference (%s): exact steps only",
                            exc)
             reference = None
-        if lu is not None:
-            new = trial(lu.solve(-F), 1.0)
+        if chord is not None:
+            new = trial(chord(-F), 1.0)
             if new is not None and (new[-1] <= tol
                                     or new[-1] <= CHORD_CONTRACTION * norm):
                 psi, eta, r, parts, F, norm = new
@@ -732,10 +739,10 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
             _log.debug("chord step rejected at iteration %d: max|F| %.3g -> "
                        "%.3g; exact steps from here", it, norm,
                        math.nan if new is None else new[-1])
-            lu = None
+            chord = None
         J = _assemble_jacobian(psi, eta, parts, grid, dist, pin=pin)
         try:
-            dz = _factor(J, grid, pin).solve(-F)
+            dz = _factor(J, grid, pin)(-F)
         except RuntimeError as exc:
             raise NewtonDiverged(f"singular Jacobian ({exc})") from exc
         if not np.all(np.isfinite(dz)):
@@ -783,7 +790,7 @@ def newton_solve(state: WaveState, dist: VorticityDistribution,
     col, h = state.psi.mean(axis=0), state.eta.mean()
     psi, eta, r, its, parts = _newton_core(
         state.psi, state.eta, state.r, grid, dist, tol, max_iter,
-        reference=lambda: _FlatModel(col, h, grid, dist).solver(grid))
+        reference=lambda: _FlatModel(col, h, grid.ny, dist).solver(grid))
     out = WaveState(period_L=state.period_L, nx=state.nx, ny=state.ny,
                     psi=psi, eta=eta, r=r)
     return NewtonResult(state=out, iterations=its, norms=_norms(parts))
@@ -801,22 +808,24 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
     seeded surface slope) and the amplitude cap (default a tenth of the
     depth); a violating case raises InvalidSweepCase rather than running
     an experiment outside the hypothesis regime, and so does an empty
-    amplitudes or wavelengths list. flat_tol must be a positive finite
-    number (ValueError otherwise). All are checked before any solve.
+    amplitudes or wavelengths list. flat_tol and both caps must be
+    positive finite numbers (ValueError otherwise; a NaN cap would reject
+    nothing). All are checked before any solve.
 
     The flat state and, once a case takes a step, its _FlatModel are built
     once per call. Each distinct wavelength gets its grid and the model's
-    solver, on which every distinct amplitude runs chord Newton (see
+    solver on it, on which every distinct amplitude runs chord Newton (see
     _newton_core). The caches keep no exception, so a singular build is
     retried, and logged, on each case. Entries come back in sorted
     (amplitude, wavelength) order, duplicates included.
     """
-    if not 0.0 < flat_tol < math.inf:
-        raise ValueError(
-            f"flat_tol must be a positive finite number, got {flat_tol!r}")
     h = sol.depth
-    if amplitude_cap is None:
-        amplitude_cap = 0.1 * h
+    amplitude_cap = 0.1 * h if amplitude_cap is None else amplitude_cap
+    for name, value in (("flat_tol", flat_tol), ("slope_cap", slope_cap),
+                        ("amplitude_cap", amplitude_cap)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(
+                f"{name} must be a positive finite number, got {value!r}")
     cases = [(float(a), float(L)) for a in sorted(amplitudes)
              for L in sorted(wavelengths)]
     if not cases:
@@ -836,9 +845,7 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
     report = check_hypotheses(dist, sol, slope_cap)
     solved = {}
     flat = flat_state(sol, dist, cases[0][1], nx, ny)
-    # both read grid late: the model needs only the q operators, which
-    # every grid here shares, and each case solves on its own grid
-    model = cache(lambda: _FlatModel(flat.psi[0], h, grid, dist))
+    model = cache(partial(_FlatModel, flat.psi[0], h, ny, dist))
     for L in dict.fromkeys(L for _, L in cases):
         grid = StripGrid(L, nx, ny, "periodic")
         flat = replace(flat, period_L=L)
@@ -1063,8 +1070,8 @@ def bifurcation_branch(sol: StreamSolution, dist: VorticityDistribution,
     grid = StripGrid(L, nxh, ny, "reflect")
     flat = flat_state(sol, dist, L, nxh, ny)
     try:  # cos(kx) is the grid's mode 1
-        Y = _FlatModel(flat.psi[0], h, grid,
-                       dist).response(grid._dxx_symbol[1:2])
+        Y = _FlatModel(flat.psi[0], h, ny, dist).response(
+            grid._dxx_symbol[1:2])
     except RuntimeError as exc:
         raise ValueError(f"no linear seed at k={k:.6g} on the {nx}x{ny} "
                          f"grid: {exc}") from exc

@@ -258,7 +258,7 @@ class TestReports:
     def test_trace_and_bernoulli_alone_equal_the_report(self, request,
                                                         sol_name, dist,
                                                         nx, ny):
-        # the report computes phi's surface normal derivative once for both
+        # the fields hold phi's surface normal derivative for both
         sol = request.getfixturevalue(sol_name)
         st = perturbed_state(sol, dist, 2.3, nx, ny, amplitude=0.02)
         fields = perturbation_fields(st, sol)
@@ -275,7 +275,7 @@ class TestReports:
         ex = fields.ex
         full = (-ex * fx[:, -1] + fy[:, -1]) / np.sqrt(1.0 + ex ** 2)
         assert np.array_equal(
-            diagnostics._surface_normal_derivative(fields).view(np.uint64),
+            fields.dn_phi.view(np.uint64),
             full.view(np.uint64))
 
     def test_report_dict_keys(self, still_b2):

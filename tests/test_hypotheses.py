@@ -82,6 +82,14 @@ class TestReportMechanics:
             with pytest.raises(ValueError):
                 check_hypotheses(dist, m, slope_bound=bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_slope_bound_rejected(self, bad):
+        # nan <= 0 is False, so a positivity test alone lets nan through
+        dist = ConstantVorticity(b=2.0)
+        m = still_depth_family(dist)[0]
+        with pytest.raises(ValueError, match="positive finite number"):
+            check_hypotheses(dist, m, slope_bound=bad)
+
     def test_asdict_round_trip(self):
         dist = LinearVorticity(b=1.0)
         m = still_depth_family(dist)[0]

@@ -102,6 +102,36 @@ def sigma_calls(monkeypatch):
     return shapes
 
 
+def _stencils_at(n, h, closure):
+    """Dx and Dxx on n nodes as built at spacing h itself: integer
+    multiples of c1 = 1 / (2 h) and c2 = 1 / h^2, the oracle of the scaled
+    unit-spacing stencils."""
+    c1, c2 = 1.0 / (2.0 * h), 1.0 / h ** 2
+    if closure == "one-sided":
+        ends = ((-3.0 * c1, 4.0 * c1, -c1),
+                (2.0 * c2, -5.0 * c2, 4.0 * c2, -c2))
+    else:
+        ends = ((), (-2.0 * c2, 2.0 * c2))
+    mats = []
+    for centered, end, sign in (((-c1, 0.0, c1), ends[0], -1.0),
+                                ((c2, -2.0 * c2, c2), ends[1], 1.0)):
+        diags = {k: np.full(n - abs(k), v)
+                 for k, v in zip((-1, 0, 1), centered)}
+        if closure == "periodic":
+            diags[n - 1], diags[1 - n] = [centered[0]], [centered[2]]
+        else:
+            diags[0][[0, -1]] = diags[1][0] = diags[-1][-1] = 0.0
+            for k, v in enumerate(end):
+                diags.setdefault(k, np.zeros(n - k))[0] = v
+                diags.setdefault(-k, np.zeros(n - k))[-1] = sign * v
+        offsets = sorted(diags)
+        D = sp.diags([diags[k] for k in offsets], offsets, shape=(n, n),
+                     format="csr")
+        D.eliminate_zeros()
+        mats.append(D)
+    return mats
+
+
 class TestStripGrid:
     def test_periodic_trig_eigenvalue(self):
         g = StripGrid(2.0, 16, 8, "periodic")
@@ -142,12 +172,37 @@ class TestStripGrid:
 
     @pytest.mark.parametrize("topology", ["periodic", "reflect"])
     def test_grids_of_one_shape_share_their_operators(self, topology):
+        # the cache is keyed by shape, so new periods add no entry: each
+        # grid scales the shared unit-spacing x pair by its own spacing
         first = StripGrid(2.37, 40, 20, topology)
-        misses = wavesolver._difference_matrices.cache_info().misses
-        again = StripGrid(2.37, 40, 20, topology)
-        assert wavesolver._difference_matrices.cache_info().misses == misses
-        for name in ("Dx", "Dxx", "Dq", "Dqq"):
-            assert getattr(again, name) is getattr(first, name)
+        info = wavesolver._difference_matrices.cache_info()
+        for L in np.linspace(0.5, 50.0, 50):
+            grid = StripGrid(L, 40, 20, topology)
+            assert grid.Dq is first.Dq and grid.Dqq is first.Dqq
+            for name in ("Dx", "Dxx"):
+                for a in ("indices", "indptr"):
+                    assert np.shares_memory(getattr(getattr(grid, name), a),
+                                            getattr(getattr(first, name), a))
+        after = wavesolver._difference_matrices.cache_info()
+        assert (after.currsize, after.misses) == (info.currsize, info.misses)
+
+    @pytest.mark.parametrize("topology", ["periodic", "reflect"])
+    def test_operators_match_the_stencils_built_at_their_spacing(
+            self, topology):
+        # Dx, Dxx at random spacings, and Dq, Dqq at random ny, bit for bit
+        rng = np.random.default_rng(40 if topology == "periodic" else 41)
+        for _ in range(60):
+            nx, ny = (int(n) for n in rng.integers(4, 300, 2))
+            g = StripGrid(10.0 ** rng.uniform(-3.0, 3.0), nx, ny, topology)
+            for ours, theirs in (
+                    ((g.Dx, g.Dxx), _stencils_at(nx, g.dx, topology)),
+                    ((g.Dq, g.Dqq), _stencils_at(ny + 1, 1.0 / ny,
+                                                 "one-sided"))):
+                for D, R in zip(ours, theirs):
+                    assert np.array_equal(D.data.view(np.uint64),
+                                          R.data.view(np.uint64))
+                    assert np.array_equal(D.indices, R.indices)
+                    assert np.array_equal(D.indptr, R.indptr)
 
     def test_flat_state_builds_no_operator_once_dq_is_cached(self, still_b2):
         StripGrid(1.9, 24, 20)
@@ -550,7 +605,7 @@ class TestOrder:
         lu = wavesolver._factor(J, grid, pin)
         for b in np.random.default_rng(nx).standard_normal((2, J.shape[0])):
             ref = np.linalg.solve(dense, b)
-            assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-10 * np.max(
+            assert np.max(np.abs(lu(b) - ref)) <= 1e-10 * np.max(
                 np.abs(ref))
 
     def test_seed_factor_makes_less_fill_than_minimum_degree(
@@ -567,7 +622,7 @@ class TestOrder:
         assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
         assert lu.L.nnz + lu.U.nnz <= 279_277
         b = np.random.default_rng(4161).standard_normal(4161)
-        x = wavesolver._factor(J, grid, (0, 1.0)).solve(b)
+        x = wavesolver._factor(J, grid, (0, 1.0))(b)
         assert _relative_residual(natural, x, b) <= 1e-10
         ref = mmd.solve(b)
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -579,7 +634,7 @@ class TestOrder:
             st.psi, st.eta, st.r, grid, B2), grid, B2)
         natural = _renumbered(J, _order(grid))
         b = np.random.default_rng(256).standard_normal(J.shape[0])
-        x = wavesolver._factor(J, grid, None).solve(b)
+        x = wavesolver._factor(J, grid, None)(b)
         assert _relative_residual(natural, x, b) <= 1e-10
         ref = splu(natural, permc_spec="MMD_AT_PLUS_A").solve(b)
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -656,7 +711,7 @@ class TestNewton:
         st = perturbed_state(still_b2, B2, 2.0, 16, 16, amplitude=0.01)
         grid = StripGrid(2.0, 16, 16)
         def singular():
-            return wavesolver._FlatModel(grid.q, 1.0, grid, B2).solver(grid)
+            return wavesolver._FlatModel(grid.q, 1.0, 16, B2).solver(grid)
         with pytest.raises(RuntimeError, match="singular"):
             singular()
         chord = _newton_core(st.psi, st.eta, st.r, grid, B2, 1e-10, 40,
@@ -1058,6 +1113,24 @@ class TestSweep:
             nonexistence_sweep(still_b2, B2, amplitudes=[-0.01],
                                wavelengths=[2.0], slope_cap=1.0)
 
+    @pytest.mark.parametrize("cap, value, a, L", [
+        # a = h / 2, five times the default cap, at a slope of 0.157
+        ("amplitude_cap", math.nan, 0.5, 20.0),
+        ("amplitude_cap", math.inf, 0.5, 20.0),
+        ("amplitude_cap", 0.0, 0.01, 2.0),
+        # a seeded slope of 2 pi
+        ("slope_cap", math.nan, 0.05, 0.05),
+        ("slope_cap", math.inf, 0.05, 0.05),
+        ("slope_cap", -1.0, 0.01, 2.0)])
+    def test_caps_must_be_positive_and_finite(self, still_b2, factorizations,
+                                              cap, value, a, L):
+        # a nan cap compares False with every case, so it rejected none
+        kw = {"slope_cap": 1.0, cap: value}
+        with pytest.raises(ValueError,
+                           match=f"{cap} must be a positive finite number"):
+            nonexistence_sweep(still_b2, B2, [a], [L], nx=16, ny=8, **kw)
+        assert factorizations == {"splu": 0, "flat": 0}
+
     def test_flat_column_is_polished_once_per_sweep(self, still_b2,
                                                     monkeypatch):
         calls = []
@@ -1210,14 +1283,14 @@ def _assert_flat_solver_matches_splu(flat, dist):
     the SuperLU factor of its sparse assembly, on random right-hand sides."""
     nx, ny = flat.nx, flat.ny
     grid = StripGrid(flat.period_L, nx, ny)
-    solver = wavesolver._FlatModel(flat.psi[0], flat.eta[0], grid,
-                                   dist).solver(grid)
+    solve = wavesolver._FlatModel(flat.psi[0], flat.eta[0], ny,
+                                  dist).solver(grid)
     parts = _residual_parts(flat.psi, flat.eta, flat.r, grid, dist)
     lu = wavesolver._factor(
         _assemble_jacobian(flat.psi, flat.eta, parts, grid, dist), grid, None)
     for b in np.random.default_rng(nx * ny).standard_normal((2, nx * ny)):
-        ref = lu.solve(b)
-        assert np.max(np.abs(solver.solve(b) - ref)) <= 1e-12 * np.max(
+        ref = lu(b)
+        assert np.max(np.abs(solve(b) - ref)) <= 1e-12 * np.max(
             np.abs(ref))
 
 
@@ -1251,7 +1324,7 @@ class TestFlatSolver:
         # second pivot under elimination without pivoting
         nx, ny = 16, 16
         grid = StripGrid(2.0, nx, ny)
-        blocks = wavesolver._FlatModel(grid.q, 1.0, grid,
+        blocks = wavesolver._FlatModel(grid.q, 1.0, ny,
                                        LinearVorticity(b=float(ny ** 2)))
         # the periodic grid's symbols, then -k^2 at a k that no mode of
         # this grid has
@@ -1283,7 +1356,7 @@ class TestFlatSolver:
         grid = StripGrid(2.5, nx, ny)
         col = flat_state(sol, dist, 2.5, nx, ny).psi[0]
         lam = grid._dxx_symbol
-        model = wavesolver._FlatModel(col, sol.depth, grid, dist)
+        model = wavesolver._FlatModel(col, sol.depth, ny, dist)
         solve = model.at(lam)
         rng = np.random.default_rng(nx)
         rhs = np.fft.rfft(rng.standard_normal((ny - 1, nx)))
@@ -1360,8 +1433,7 @@ class TestFlatSolver:
         for ny in (8, 16, 32, 64, 128):
             grid = StripGrid(1.0, 4, ny)
             model = wavesolver._FlatModel(
-                flat_state(sol, dist, 1.0, 4, ny).psi[0], sol.depth, grid,
-                dist)
+                flat_state(sol, dist, 1.0, 4, ny).psi[0], sol.depth, ny, dist)
             lam = brentq(lambda lam: model.schur(np.array([lam]))[0],
                          -(root + 0.5) ** 2, -(root - 0.5) ** 2)
             errors.append(math.sqrt(-lam) - root)
@@ -1379,7 +1451,7 @@ class TestFlatSolver:
         sol = _solution(dist, s)
         st = flat_state(sol, dist, 3.0, nx, ny)
         grid = StripGrid(3.0, nx, ny)
-        model = wavesolver._FlatModel(st.psi[0], sol.depth, grid, dist)
+        model = wavesolver._FlatModel(st.psi[0], sol.depth, ny, dist)
         J = _renumbered(_assemble_jacobian(st.psi, st.eta, _residual_parts(
             st.psi, st.eta, st.r, grid, dist), grid, dist),
             _order(grid))
