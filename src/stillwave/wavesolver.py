@@ -672,8 +672,9 @@ class _FlatModel:
 def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
                  pin: Optional[tuple] = None,
                  reference: Optional[Callable] = None):
-    """Damped Newton on the reduced unknowns. Returns psi, eta, r, the
-    iteration count and the residual parts of that final state.
+    """Damped Newton on the reduced unknowns from a surface eta > 0.
+    Returns psi, eta, r, the iteration count and the residual parts of
+    that final state.
 
     Boundary rows of psi are held exact throughout; with pin the
     Bernoulli constant r is released and eta[pin0] = pin1 is enforced.
@@ -689,39 +690,44 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
     Jacobian), that same iteration and every later one take the exact
     damped Newton step, so a failed chord trial costs a solve and a
     residual evaluation, never an iteration. Both fallbacks are logged at
-    debug level.
+    debug level. An exact step takes the first length 2^-k, k = 0 ...
+    MAX_HALVINGS, that keeps the surface positive and lowers max|F|.
+    Raises SurfaceCollapse when no length keeps the surface positive, and
+    NewtonDiverged when the line search stalls, when the exact Jacobian
+    is singular or when max|F| > tol after max_iter steps.
     """
     nx, ny = grid.nx, grid.ny
     n_int = nx * (ny - 1)
     psi = psi.copy()
-    eta = eta.copy()
     psi[:, 0] = 0.0
     psi[:, ny] = 1.0
 
-    def evaluate(ps, et, rr):
+    def state(ps, et, rr):
         parts = _residual_parts(ps, et, rr, grid, dist)
         F = _residual_vec(parts)
         if pin is not None:
             F = np.append(F, et[pin[0]] - pin[1])
-        return parts, F, float(np.max(np.abs(F)))
+        return ps, et, rr, parts, F, float(np.max(np.abs(F)))
 
     def trial(dz, alpha):
-        """The state z + alpha dz with its residual, or None when its
-        surface is not positive."""
+        """The state z + alpha dz, or None if its surface is not positive."""
         eta_t = eta + alpha * dz[n_int:n_int + nx]
         if np.min(eta_t) <= 0.0:
             return None
         psi_t = psi.copy()
         psi_t[:, 1:ny] += alpha * dz[:n_int].reshape(nx, ny - 1)
-        r_t = r + alpha * (float(dz[-1]) if pin is not None else 0.0)
-        return (psi_t, eta_t, r_t, *evaluate(psi_t, eta_t, r_t))
+        return state(psi_t, eta_t,
+                     r + alpha * (float(dz[-1]) if pin is not None else 0.0))
 
-    parts, F, norm = evaluate(psi, eta, r)
+    psi, eta, r, parts, F, norm = state(psi, eta.copy(), r)
     chord = None
 
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         if norm <= tol:
             return psi, eta, r, it, parts
+        if it == max_iter:
+            raise NewtonDiverged(f"no convergence in {max_iter} iterations "
+                                 f"(residual {norm:.3g})")
         if reference is not None:
             try:
                 chord = reference()
@@ -747,30 +753,20 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
             raise NewtonDiverged(f"singular Jacobian ({exc})") from exc
         if not np.all(np.isfinite(dz)):
             raise NewtonDiverged("singular Jacobian (non-finite Newton step)")
-
-        alpha = 1.0
-        collapse_only = True
-        for _ in range(MAX_HALVINGS + 1):
-            new = trial(dz, alpha)
-            if new is not None:
-                collapse_only = False
-                if new[-1] < norm or new[-1] <= tol:
-                    psi, eta, r, parts, F, norm = new
-                    break
-            alpha *= 0.5
+        for k in range(MAX_HALVINGS + 1):
+            new = trial(dz, 0.5 ** k)
+            if new is not None and (new[-1] < norm or new[-1] <= tol):
+                psi, eta, r, parts, F, norm = new
+                break
         else:
-            if collapse_only:
+            # eta > 0 and eta + alpha d is monotone: positive alphas start at 0
+            if new is None:
                 raise SurfaceCollapse(
                     f"every damped step drove the surface nonpositive "
                     f"(min eta + d = "
                     f"{float(np.min(eta + dz[n_int:n_int + nx])):.3g})")
             raise NewtonDiverged(
                 f"line search stalled at iteration {it} (residual {norm:.3g})")
-
-    if norm <= tol:
-        return psi, eta, r, max_iter, parts
-    raise NewtonDiverged(
-        f"no convergence in {max_iter} iterations (residual {norm:.3g})")
 
 
 def newton_solve(state: WaveState, dist: VorticityDistribution,
@@ -805,11 +801,11 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
     record whether Newton falls back to flat.
 
     Every case must respect the slope cap (2 pi a / L as proxy for the
-    seeded surface slope) and the amplitude cap (default a tenth of the
-    depth); a violating case raises InvalidSweepCase rather than running
-    an experiment outside the hypothesis regime, and so does an empty
-    amplitudes or wavelengths list. flat_tol and both caps must be
-    positive finite numbers (ValueError otherwise; a NaN cap would reject
+    seeded surface slope), the amplitude cap (default a tenth of the depth
+    h) and a < h (the seeded trough above the bed). A violating case or an
+    empty amplitudes or wavelengths list raises InvalidSweepCase rather
+    than running outside the hypothesis regime; flat_tol and both caps must
+    be positive finite numbers (ValueError; a NaN cap would reject
     nothing). All are checked before any solve.
 
     The flat state and, once a case takes a step, its _FlatModel are built
@@ -837,6 +833,9 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
         if a >= amplitude_cap:
             raise InvalidSweepCase(
                 f"case (a={a}, L={L}): amplitude exceeds cap {amplitude_cap:.6g}")
+        if a >= h:
+            raise InvalidSweepCase(f"case (a={a}, L={L}): amplitude reaches "
+                                   f"the depth h={h:.6g}")
         if 2.0 * math.pi * a / L > slope_cap:
             raise InvalidSweepCase(
                 f"case (a={a}, L={L}): seeded slope {2 * math.pi * a / L:.6g} "

@@ -721,10 +721,37 @@ class TestNewton:
         assert np.array_equal(chord[1], exact[1])
 
     def test_unreachable_bernoulli_level_fails(self, still_b2):
+        # some step lengths keep the surface positive, none lowers max|F|
         st = flat_state(still_b2, B2, 2.0, 16, 12)
         st.r = -10.0
-        with pytest.raises((NewtonDiverged, SurfaceCollapse)):
+        with pytest.raises(NewtonDiverged,
+                           match="line search stalled at iteration 2 "):
             newton_solve(st, B2, max_iter=30)
+
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    def test_iteration_budget_exit(self, still_b2, max_iter):
+        st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
+        with pytest.raises(NewtonDiverged,
+                           match=f"no convergence in {max_iter} iterations"):
+            newton_solve(st, B2, max_iter=max_iter)
+
+    def test_every_step_length_collapsing_is_surface_collapse(
+            self, still_b2, monkeypatch):
+        # an exact step of -300 eta on the surface: even 2^-8 of it
+        # leaves eta (1 - 300/256) < 0 at every node
+        st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
+        grid = StripGrid(2.0, 16, 12)
+
+        def collapsing(A, grid, pin):
+            def solve(b):
+                dz = np.zeros(b.shape)
+                dz[-grid.nx:] = -300.0 * st.eta
+                return dz
+            return solve
+
+        monkeypatch.setattr(wavesolver, "_factor", collapsing)
+        with pytest.raises(SurfaceCollapse, match="every damped step"):
+            _newton_core(st.psi, st.eta, st.r, grid, B2, 1e-10, 40)
 
 
 class TestDispersion:
@@ -1102,6 +1129,12 @@ class TestSweep:
         for amps, waves in (([], [2.0]), ([0.01], []), ([], [])):
             with pytest.raises(InvalidSweepCase, match="at least one"):
                 nonexistence_sweep(still_b2, B2, amps, waves, slope_cap=1.0)
+        # under a cap above h = 1, a = h divided by zero in the residual
+        # and a = 1.2 h stalled the line search
+        for a in (1.0, 1.2):
+            with pytest.raises(InvalidSweepCase, match="reaches the depth"):
+                nonexistence_sweep(still_b2, B2, [a], [8.0], slope_cap=1.0,
+                                   nx=32, ny=16, amplitude_cap=2.0)
         assert factorizations == {"splu": 0, "flat": 0}
         with pytest.raises(InvalidSweepCase):
             nonexistence_sweep(still_b2, B2, amplitudes=[0.2],
@@ -1228,7 +1261,10 @@ class TestChord:
         assert np.array_equal(res.state.eta, eta)
 
     def test_converged_start_factors_nothing(self, still_b2, factorizations):
-        newton_solve(flat_state(still_b2, B2, 2.0, 16, 12), B2)
+        flat = flat_state(still_b2, B2, 2.0, 16, 12)
+        newton_solve(flat, B2)
+        # a converged start returns even with no iteration to spend
+        assert newton_solve(flat, B2, max_iter=0).iterations == 0
         assert factorizations == {"splu": 0, "flat": 0}
 
     # the counts are shared by every example, and each must leave them 0
