@@ -116,6 +116,8 @@ def windowed_norm(values: np.ndarray, t: float, p: float,
     """
     if p < 1:
         raise ValueError("p must be at least 1")
+    if not math.isfinite(t):
+        raise ValueError(f"window start t must be finite, got {t!r}")
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     if n < 2:
@@ -140,8 +142,10 @@ def _copy_weight(x: np.ndarray, t: float, delta: float,
     """Sum of exp(-delta |t - (x + m L)|) over all periodic copies m, in
     closed form: with d = (t - x) mod L the copies at or behind t and those
     ahead of it are two geometric series of ratio exp(-delta L)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    if not math.isfinite(t):
+        raise ValueError(f"window start t must be finite, got {t!r}")
     d = np.mod(t - x, period_L)
     return ((np.exp(-delta * d) + np.exp(-delta * (period_L - d)))
             / -math.expm1(-delta * period_L))

@@ -20,7 +20,9 @@ kind in the modular-angle convention,
     F(phi \\ alpha) = int_0^phi dtheta / sqrt(1 - sin^2(alpha) sin^2(theta)),
 
 which is scipy's ellipkinc at the parameter m = sin^2(alpha). Angles are
-radians.
+radians. quad and ellipkinc are imported inside the functions that call
+them: scipy.integrate and scipy.special load only with a quadrature or an
+elliptic_F call, never with the package.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import ellipkinc
 
 from .errors import NonIntegrable, OutOfDomain
 
@@ -71,6 +71,8 @@ def _half_integral(f, a, b, expo, other_expo, span, tol, from_left):
     the constant p, so the sigma integrand is smooth when the declared
     exponent is honest.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     p = 1.0 / (1.0 + expo)
     smax = span ** (1.0 + expo)
     width = b - a
@@ -143,6 +145,8 @@ def elliptic_F(phi: float, alpha: float) -> float:
 
     phi in [0, pi/2], alpha in [0, pi/2), both in radians.
     """
+    from scipy.special import ellipkinc
+
     if not (0.0 <= phi <= math.pi / 2.0 + 1e-15):
         raise OutOfDomain(f"phi must lie in [0, pi/2], got {phi}")
     if not (0.0 <= alpha < math.pi / 2.0):

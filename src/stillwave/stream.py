@@ -17,21 +17,25 @@ finite exactly when omega does not vanish at the maximiser. When the rise
 is preceded by a finite monotonicity interval (y_minus > -infinity the
 flow is periodic in y) reflections generate a whole ladder of still
 depths; otherwise h0 is the only one.
+
+Every IVP here runs on ode.dop853, which repeats scipy's DOP853 step for
+step. Only the depth quadrature (special.singular_quadrature) and the
+bounded maximiser of critical_surface_speed import scipy.integrate and
+scipy.optimize, when first called, so the shear-flow path (shear_solution
+and its profile) loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import minimize_scalar
 
 from .errors import (DivergentDepth, NonIntegrable, NoStillSolution, NotStill,
                      StepFailure)
+from .ode import Ivp, dense_value, dop853
 from .special import SingularIntegrandSpec, singular_quadrature
 from .vorticity import VorticityDistribution
 
@@ -71,36 +75,13 @@ class StreamProfile:
     s: float
     U_values: np.ndarray
     Uy_values: np.ndarray
-    _dense: object = field(repr=False)
+    _ivp: Ivp = field(repr=False)
 
     def U(self, y):
-        return self._component(y, 0)
+        return dense_value(self._ivp, y, 0)
 
     def Uy(self, y):
-        return self._component(y, 1)
-
-    @cached_property
-    def _segments(self):
-        """t_old, h, y_old and F of every DOP853 step, as arrays."""
-        return [np.array([getattr(p, a) for p in self._dense.interpolants])
-                for a in ("t_old", "h", "y_old", "F")]
-
-    def _component(self, y, k):
-        """Component k of the dense output at y, a scalar or an array: one
-        searchsorted into the step nodes (OdeSolution's side, clip and
-        descending rules), then Dop853DenseOutput's recurrence on all points
-        at once, so every value is OdeSolution.__call__'s bit for bit."""
-        y, dense = np.asarray(y), self._dense
-        t_old, h, y_old, F = self._segments
-        last = dense.n_segments - 1
-        seg = np.clip(np.searchsorted(dense.ts_sorted, y, dense.side) - 1, 0, last)
-        seg = seg if dense.ascending else last - seg
-        x = (y - t_old[seg]) / h[seg]
-        out = np.zeros(y.shape)
-        for i, f in enumerate(F[:, ::-1, k].T):
-            out += f[seg]
-            out *= 1 - x if i % 2 else x
-        return out + y_old[seg, k]
+        return dense_value(self._ivp, y, 1)
 
     def first_integral_defect(self, dist: VorticityDistribution) -> float:
         """sup over the solver nodes of |U'(y)^2 + 2 Omega(U) - s^2|."""
@@ -138,25 +119,19 @@ def _cauchy_rhs(dist: VorticityDistribution):
     return rhs
 
 
-def _turning_event(direction: float = 0.0):
-    """Terminal event function of the system above that fires where U'
-    vanishes; direction -1 keeps only the maxima of U."""
-    def turning(y, st):
-        return st[1]
-    turning.terminal = True
-    turning.direction = direction
-    return turning
+def _turning(y, st):
+    """Event function of the system above that vanishes where U' does."""
+    return st[1]
 
 
 def _integrate(dist: VorticityDistribution, s: float, y_end: float,
-               **options):
-    """solve_ivp of the system above from (U, U') = (0, s) at the bed to
+               **options) -> Ivp:
+    """dop853 of the system above from (U, U') = (0, s) at the bed to
     y_end. A step that overflows is the integrator's to reject or report
     as a failure, so numpy's floating-point warnings are silenced here."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return solve_ivp(_cauchy_rhs(dist), (0.0, y_end), (0.0, float(s)),
-                         method="DOP853", rtol=INTEGRATOR_RTOL,
-                         atol=INTEGRATOR_ATOL, **options)
+        return dop853(_cauchy_rhs(dist), y_end, (0.0, float(s)),
+                      INTEGRATOR_RTOL, INTEGRATOR_ATOL, **options)
 
 
 def solve_cauchy(dist: VorticityDistribution, s: float,
@@ -165,11 +140,11 @@ def solve_cauchy(dist: VorticityDistribution, s: float,
 
     y_max may be negative (integration toward negative y).
     """
-    sol = _integrate(dist, s, y_max, dense_output=True)
-    if not sol.success:
-        raise StepFailure(f"integrator failed on [0, {y_max}]: {sol.message}")
+    sol = _integrate(dist, s, y_max, dense=True)
+    if sol.failure:
+        raise StepFailure(f"integrator failed on [0, {y_max}]: {sol.failure}")
     return StreamProfile(s=float(s), U_values=sol.y[0],
-                         Uy_values=sol.y[1], _dense=sol.sol)
+                         Uy_values=sol.y[1], _ivp=sol)
 
 
 def critical_surface_speed(dist: VorticityDistribution) -> CriticalSpeed:
@@ -181,6 +156,8 @@ def critical_surface_speed(dist: VorticityDistribution) -> CriticalSpeed:
     there. degenerate flags an antiderivative that is identically zero
     (omega vanishes on [0, 1]); the maximiser is arbitrary then.
     """
+    from scipy.optimize import minimize_scalar
+
     grid = np.linspace(0.0, 1.0, 2001)
     vals = np.asarray(dist.antiderivative(grid), dtype=float)
     degenerate = float(vals.max() - vals.min()) < 1e-15
@@ -255,13 +232,10 @@ def monotone_interval_lower(dist: VorticityDistribution, s0: float,
         return 0.0
     if dist.inf_omega_nonpositive() >= 0.0:
         return -math.inf
-    sol = _integrate(dist, s0, -abs(horizon),
-                     events=(_turning_event(),))
-    if not sol.success:
-        raise StepFailure(f"backward integration failed: {sol.message}")
-    if sol.t_events[0].size:
-        return float(sol.t_events[0][0])
-    return -math.inf
+    sol = _integrate(dist, s0, -abs(horizon), events=((_turning, 0.0),))
+    if sol.failure:
+        raise StepFailure(f"backward integration failed: {sol.failure}")
+    return -math.inf if sol.event is None else float(sol.t[-1])
 
 
 def _cut(dist, s, depth, branch=None) -> StreamSolution:
@@ -343,19 +317,16 @@ def shear_solution(dist: VorticityDistribution, s: float) -> StreamSolution:
 
     def reach(y, st):
         return st[0] - 1.0
-    reach.terminal = True
 
     for Y in (10.0, 100.0, 1000.0):
-        sol = _integrate(dist, s, Y, events=(reach, _turning_event(-1.0)))
-        (crossings, peaks), (_, tops) = sol.t_events, sol.y_events
-        candidates = [float(t) for t in crossings if t > 1e-12]
-        candidates += [float(t) for t, (u, _) in zip(peaks, tops)
-                       if t > 1e-12 and abs(u - 1.0) <= 1e-6]
-        if candidates:
-            return _cut(dist, s, min(candidates))
-        if not sol.success:
-            raise StepFailure(f"integrator failed on [0, {Y}]: {sol.message}")
-        if peaks.size:
+        sol = _integrate(dist, s, Y, events=((reach, 0.0), (_turning, -1.0)))
+        t, u = float(sol.t[-1]), sol.y[0, -1]
+        if sol.event is not None and t > 1e-12 and (
+                sol.event == 0 or abs(u - 1.0) <= 1e-6):
+            return _cut(dist, s, t)
+        if sol.failure:
+            raise StepFailure(f"integrator failed on [0, {Y}]: {sol.failure}")
+        if sol.event == 1:
             raise ValueError(f"flow oscillates or falls away below the "
-                             f"surface value (max U = {tops[0, 0]:.6g})")
+                             f"surface value (max U = {u:.6g})")
     raise ValueError("surface value 1 not reached within the search limit")

@@ -24,7 +24,9 @@ flat-state Jacobian (_FlatModel, one per flow), solved mode by mode after
 an rfft in x through one eigendecomposition in q and a Schur step on eta.
 Continuation off a bifurcation point pins the amplitude, releases the
 Bernoulli constant, seeds from that model and runs chord steps on one
-SuperLU factor.
+SuperLU factor. The dispersion IVPs run on ode.dop853 and the root polish
+on ode.brentq, so dispersion_sigma, find_bifurcation_points and
+bifurcation_branch import neither scipy.integrate nor scipy.optimize.
 """
 
 from __future__ import annotations
@@ -37,14 +39,13 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal, solve_banded
-from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 from .errors import (InvalidSweepCase, NewtonDiverged, StepFailure,
                      SurfaceCollapse)
 from .hypotheses import HypothesisReport, check_hypotheses
+from .ode import brentq, dense_value, dop853
 from .stream import StreamSolution, _cauchy_rhs
 from .vorticity import VorticityDistribution
 
@@ -154,8 +155,9 @@ class StripGrid:
 
     def __init__(self, period_L: float, nx: int, ny: int,
                  topology: str = "periodic"):
-        if period_L <= 0:
-            raise ValueError("period_L must be positive")
+        if not 0 < period_L < math.inf:
+            raise ValueError(f"period_L must be positive and finite, got "
+                             f"{period_L!r}")
         if topology not in ("periodic", "reflect"):
             raise ValueError(f"unknown topology {topology!r}")
         if nx < 4 or ny < 4:
@@ -207,8 +209,9 @@ class WaveState:
         self.validate()
 
     def validate(self):
-        if self.period_L <= 0:
-            raise ValueError("period_L must be positive")
+        if not 0 < self.period_L < math.inf:
+            raise ValueError(f"period_L must be positive and finite, got "
+                             f"{self.period_L!r}")
         if self.psi.shape != (self.nx, self.ny + 1):
             raise ValueError(
                 f"psi shape {self.psi.shape} != ({self.nx}, {self.ny + 1})")
@@ -692,10 +695,15 @@ def _newton_core(psi, eta, r, grid: StripGrid, dist, tol, max_iter,
     residual evaluation, never an iteration. Both fallbacks are logged at
     debug level. An exact step takes the first length 2^-k, k = 0 ...
     MAX_HALVINGS, that keeps the surface positive and lowers max|F|.
-    Raises SurfaceCollapse when no length keeps the surface positive, and
-    NewtonDiverged when the line search stalls, when the exact Jacobian
-    is singular or when max|F| > tol after max_iter steps.
+    Raises ValueError, before any evaluation, unless 0 < tol < inf and
+    max_iter >= 0; SurfaceCollapse when no length keeps the surface
+    positive; and NewtonDiverged when the line search stalls, when the
+    exact Jacobian is singular or when max|F| > tol after max_iter steps.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not max_iter >= 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
     nx, ny = grid.nx, grid.ny
     n_int = nx * (ny - 1)
     psi = psi.copy()
@@ -879,7 +887,7 @@ def nonexistence_sweep(sol: StreamSolution, dist: VorticityDistribution,
 
 
 def _dispersion_solve(sol: StreamSolution, dist: VorticityDistribution,
-                      ks, dense_output: bool = False):
+                      ks, dense: bool = False):
     """Jointly integrate the stream profile and the transverse modes of
     every wavenumber in ks.
 
@@ -887,10 +895,9 @@ def _dispersion_solve(sol: StreamSolution, dist: VorticityDistribution,
     f'' + (omega'(U) - k_i^2) f = 0, f(0) = 0, f'(0) = 1, riding on the
     exact U of the flow, up to the surface y = h. The mode equation is
     linear and k enters only through k^2, so one integration serves them
-    all. out.y holds only the surface values; dense_output adds the
-    interpolant over [0, h]. Raises ValueError when some k^2 is not
-    finite, which the step control would never get past, and StepFailure
-    when the integrator fails.
+    all; dense keeps the interpolant over [0, h] for dense_value. Raises
+    ValueError when some k^2 is not finite, which the step control would
+    never get past, and StepFailure when the integrator fails.
     """
     ksq = np.asarray(ks, dtype=float).ravel() ** 2
     if not np.all(np.isfinite(ksq)):
@@ -907,10 +914,10 @@ def _dispersion_solve(sol: StreamSolution, dist: VorticityDistribution,
     # overflow in a failing step surfaces as the StepFailure below, not as
     # numpy warnings ahead of it
     with np.errstate(over="ignore", invalid="ignore"):
-        out = solve_ivp(rhs, (0.0, h), y0, method="DOP853", rtol=1e-12,
-                        atol=1e-14, t_eval=(h,), dense_output=dense_output)
-    if not out.success:
-        raise StepFailure(f"dispersion integration failed: {out.message}")
+        out = dop853(rhs, h, y0, 1e-12, 1e-14, dense=dense,
+                     interpolated_end=True)
+    if out.failure:
+        raise StepFailure(f"dispersion integration failed: {out.failure}")
     return out
 
 
@@ -941,10 +948,10 @@ def dispersion_mode(sol: StreamSolution, dist: VorticityDistribution,
                     k: float):
     """Dense-output callable y -> f(y) for the transverse mode, plus h: the
     continuous mode that bifurcation_branch's discrete seed approximates."""
-    out = _dispersion_solve(sol, dist, [k], dense_output=True)
+    out = _dispersion_solve(sol, dist, [k], dense=True)
 
     def f(y):
-        return out.sol(y)[2]
+        return dense_value(out, y, 2)
 
     return f, sol.depth
 
@@ -1004,7 +1011,7 @@ def _polished_roots(sol: StreamSolution, dist: VorticityDistribution,
                            "node %.17g", k[-1], k[0], v[-1], v[0], node)
                 roots.append(node)
                 continue
-            x = brentq(p, -1.0, 1.0, xtol=1e-15)
+            x = brentq(p, -1.0, 1.0, 1e-15)
             tail = np.max(np.abs(p.coef[-2:])) / np.max(np.abs(p.coef))
             if tail <= _RESOLVED or npass == _POLISH_PASSES:
                 roots.append(float(m + d * x))

@@ -125,6 +125,14 @@ class TestSolveAndDiagnose:
         assert code == 0
         assert report["delta"] == 1e-9 and math.isfinite(report["energy"])
 
+    def test_unreachable_tolerance_fails_first(self, tmp_path, capsys):
+        code, report, _, _ = _run(tmp_path, "solve",
+                                  dict(B2, nx=16, ny=12, amplitude=0.01,
+                                       tol=0))
+        assert code == 1 and report is None
+        assert capsys.readouterr().err.startswith(
+            "error: tol must be positive and finite, got 0.0")
+
     def test_diagnose_without_state_fails(self, tmp_path):
         code, report, _, _ = _run(tmp_path, "diagnose", dict(B2))
         assert code == 1

@@ -198,6 +198,22 @@ class TestCopyWeight:
         assert np.allclose(w, 1e9, rtol=1e-8, atol=0.0)
 
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
+    def test_decay_rate_must_be_finite_and_positive(self, still_b2, delta):
+        st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
+        with pytest.raises(ValueError, match="delta must be positive and "
+                                             "finite"):
+            diagnostics_report(st, still_b2, B2, delta=delta)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_station_must_be_finite(self, still_b2, t):
+        st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
+        with pytest.raises(ValueError, match="window start t must be finite"):
+            diagnostics_report(st, still_b2, B2, t=t)
+        with pytest.raises(ValueError, match="window start t must be finite"):
+            windowed_norm(st.eta, t, 2.0, st.period_L)
+
+
 class TestDecayRate:
     def test_closed_form_constant(self, still_b2):
         # h = 1, mu = 0

@@ -7,6 +7,7 @@ piecewise-linear profile omega = 2 tau - 1 gives U = (1 - cos(sqrt(2) y)) / 2.
 The cubic depth integral is checked against a Beta-function oracle.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from scipy.integrate import DenseOutput, solve_ivp
 from scipy.special import gamma
 
-from stillwave import stream
+from stillwave import ode, stream
 from stillwave.errors import (DivergentDepth, NoStillSolution, NotStill,
                               StepFailure)
 from stillwave.stream import (critical_surface_speed, least_still_depth,
@@ -23,14 +24,6 @@ from stillwave.stream import (critical_surface_speed, least_still_depth,
 from stillwave.vorticity import (ConstantVorticity, LinearVorticity,
                                  QuadraticTruncatedVorticity,
                                  TabulatedVorticity)
-
-
-def _released(event):
-    """A non-terminal copy of an event function."""
-    def copy(y, st):
-        return event(y, st)
-    copy.terminal = False
-    return copy
 
 
 # int_0^1 (1 - tau^3)^(-1/2) dtau = B(1/3, 1/2) / 3
@@ -106,68 +99,91 @@ DENSE_PROFILES = [(ConstantVorticity(b=2.0), 2.0, 1.5),
 
 class TestDenseEvaluation:
     """U and Uy evaluate all points of a call in one pass; every value must
-    be scipy's OdeSolution.__call__ bit for bit."""
+    be that of scipy's OdeSolution.__call__ on the same IVP, bit for bit."""
 
     @pytest.fixture(params=DENSE_PROFILES,
                     ids=["constant", "linear", "linear-down", "constant-down"])
     def profile(self, request):
+        """(the profile, scipy's OdeSolution of its IVP)"""
         dist, s, y_max = request.param
         prof = solve_cauchy(dist, s=s, y_max=y_max)
-        assert prof._dense.ascending == (y_max > 0)
-        return prof
+        ref = solve_ivp(stream._cauchy_rhs(dist), (0.0, y_max), (0.0, s),
+                        method="DOP853", rtol=stream.INTEGRATOR_RTOL,
+                        atol=stream.INTEGRATOR_ATOL, dense_output=True).sol
+        assert ref.ascending == (y_max > 0)
+        assert np.array_equal(_bits(prof._ivp.t), _bits(ref.ts))
+        return prof, ref
 
-    def _points(self, prof):
-        lo, hi = sorted((0.0, float(prof._dense.ts[-1])))
+    def _points(self, ref):
+        lo, hi = sorted((0.0, float(ref.ts[-1])))
         rng = np.random.default_rng(11)
         return {"interior": rng.uniform(lo, hi, 2000),
-                "nodes": prof._dense.ts,
-                "nodes-reversed": prof._dense.ts[::-1].copy(),
+                "nodes": ref.ts,
+                "nodes-reversed": ref.ts[::-1].copy(),
                 "beyond": np.array([lo - 1.0, hi + 1.0, lo - 1e-3, hi + 1e-3,
                                     lo, hi])}
 
     def test_arrays_match_scipy(self, profile):
-        assert profile._dense.n_segments > 3
-        for name, y in self._points(profile).items():
-            ref = profile._dense(y)
+        profile, ref = profile
+        assert ref.n_segments > 3
+        for name, y in self._points(ref).items():
+            want = ref(y)
             for k, f in enumerate((profile.U, profile.Uy)):
-                assert np.array_equal(_bits(f(y)), _bits(ref[k])), name
+                assert np.array_equal(_bits(f(y)), _bits(want[k])), name
 
     def test_nodes_take_scipy_segment(self, profile):
         # adjacent steps agree at their shared node to the last bit, so
         # shift each step's y_old by its own amount: then only the choice of
         # step (OdeSolution's side rule) decides the value at a node
-        for i, step in enumerate(profile._dense.interpolants):
-            step.y_old = step.y_old + 1e-3 * i
-        ts = profile._dense.ts
+        profile, ref = profile
+        ivp = profile._ivp
+        shift = 1e-3 * np.arange(ivp.t.size)
+        profile = dataclasses.replace(profile, _ivp=ivp._replace(
+            y=ivp.y + shift))
+        for i, step in enumerate(ref.interpolants):
+            step.y_old = step.y_old + shift[i]
+        ts = ref.ts
         for y in (ts, ts[::-1].copy(), ts[1]):
-            ref = profile._dense(y)
-            assert not np.array_equal(ref, profile._dense(np.nextafter(
-                y, np.inf if profile._dense.ascending else -np.inf)))
+            want = ref(y)
+            assert not np.array_equal(want, ref(np.nextafter(
+                y, np.inf if ref.ascending else -np.inf)))
             for k, f in enumerate((profile.U, profile.Uy)):
-                assert np.array_equal(_bits(f(y)), _bits(ref[k]))
+                assert np.array_equal(_bits(f(y)), _bits(want[k]))
 
     def test_zero_d_inputs_match_scipy(self, profile):
-        for y in (0.3 * profile._dense.ts[-1], profile._dense.ts[2]):
-            ref = profile._dense(y)
+        profile, ref = profile
+        for y in (0.3 * ref.ts[-1], ref.ts[2]):
+            want = ref(y)
             for k, f in enumerate((profile.U, profile.Uy)):
                 for arg in (float(y), np.float64(y), np.array(y)):
                     got = f(arg)
                     assert np.ndim(got) == 0
-                    assert np.array_equal(_bits(got), _bits(ref[k]))
+                    assert np.array_equal(_bits(got), _bits(want[k]))
 
     def test_calls_run_no_segment_interpolant(self, profile, monkeypatch):
-        y = self._points(profile)["interior"]
-        ref, ref0 = profile._dense(y), profile._dense(y[0])
+        # a call evaluates all its points in one polynomial pass, and
+        # scipy's per-step interpolants take no part
+        profile, ref = profile
+        y = self._points(ref)["interior"]
+        want, want0 = ref(y), ref(y[0])
 
-        def forbidden(self, t):
-            raise AssertionError("per-segment DenseOutput call")
+        def forbidden(*args):
+            raise AssertionError("per-segment interpolant call")
+
+        passes = []
+
+        def counted(*args, _interpolant=ode._interpolant):
+            passes.append(np.shape(args[2]))
+            return _interpolant(*args)
 
         monkeypatch.setattr(DenseOutput, "__call__", forbidden)
+        monkeypatch.setattr(ode, "_interpolant", counted)
         for k, f in enumerate((profile.U, profile.Uy)):
-            assert np.array_equal(_bits(f(y)), _bits(ref[k]))
-            assert np.array_equal(_bits(f(float(y[0]))), _bits(ref0[k]))
+            assert np.array_equal(_bits(f(y)), _bits(want[k]))
+            assert np.array_equal(_bits(f(float(y[0]))), _bits(want0[k]))
+        assert passes == [y.shape, ()] * 2
         with pytest.raises(AssertionError, match="per-segment"):
-            profile._dense(y)
+            ref(y)
 
 
 class TestLeastDepth:
@@ -226,8 +242,8 @@ class TestMonotoneInterval:
         assert monotone_interval_lower(dist, s0, horizon=100.0) == -math.inf
 
         def no_ivp(*args, **kwargs):
-            raise AssertionError("solve_ivp called")
-        monkeypatch.setattr(stream, "solve_ivp", no_ivp)
+            raise AssertionError("dop853 called")
+        monkeypatch.setattr(stream, "dop853", no_ivp)
         assert monotone_interval_lower(dist, s0, horizon=100.0) == -math.inf
 
     @pytest.mark.parametrize("dist", [
@@ -244,8 +260,8 @@ class TestMonotoneInterval:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return solve_ivp(*args, **kwargs)
-        monkeypatch.setattr(stream, "solve_ivp", counted)
+            return ode.dop853(*args, **kwargs)
+        monkeypatch.setattr(stream, "dop853", counted)
         monotone_interval_lower(dist, 1.0, horizon=10.0)
         assert len(calls) == 1
 
@@ -334,32 +350,40 @@ class TestShearProbe:
     ], ids=["constant-moving", "linear-moving", "tabulated-moving",
             "constant-still"])
     def test_search_stops_at_the_surface(self, monkeypatch, dist, s):
-        # the search stops at the first crossing of 1, yet finds what a
-        # search whose every IVP runs its full length finds, bit for bit
-        integrate = stream._integrate
-        ends = {True: [], False: []}
+        # the search stops at the first crossing of 1 (a moving surface)
+        # or maximum of U at 1 (a still one), yet finds what solve_ivp
+        # finds with the same events run over the whole first interval,
+        # bit for bit
+        integrate, ends = stream._integrate, []
 
-        def search(terminal):
-            def run(dist, s, y_end, events=(), **options):
-                if not terminal:
-                    events = tuple(_released(e) for e in events)
-                sol = integrate(dist, s, y_end, events=events, **options)
-                ends[terminal].append((float(sol.t[-1]), y_end))
-                return sol
-            with monkeypatch.context() as m:
-                m.setattr(stream, "_integrate", run)
-                return shear_solution(dist, s)
+        def run(*args, **kwargs):
+            sol = integrate(*args, **kwargs)
+            ends.append(float(sol.t[-1]))
+            return sol
 
-        got, want = search(True), search(False)
-        # the first IVP of each search: the reference runs its full
-        # length, and the search stops short of it at the surface, a
-        # crossing of 1 (moving) or a maximum of U at 1 (still)
-        (t_ref, y_ref), (t_got, _) = ends[False][0], ends[True][0]
-        assert t_ref == y_ref
-        assert t_got < 0.5 * y_ref
-        assert (got.depth, got.surface_speed, got.still) == \
-            (want.depth, want.surface_speed, want.still)
-        assert np.array_equal(got.profile.U_values, want.profile.U_values)
+        monkeypatch.setattr(stream, "_integrate", run)
+        got = shear_solution(dist, s)
+
+        def reach(y, st):
+            return st[0] - 1.0
+
+        def top(y, st):
+            return st[1]
+        top.direction = -1.0
+        ref = solve_ivp(stream._cauchy_rhs(dist), (0.0, 10.0), (0.0, s),
+                        method="DOP853", rtol=stream.INTEGRATOR_RTOL,
+                        atol=stream.INTEGRATOR_ATOL, events=(reach, top))
+        assert ref.t[-1] == 10.0
+        (crossings, peaks), (_, tops) = ref.t_events, ref.y_events
+        want = min([t for t in crossings if t > 1e-12]
+                   + [t for t, (u, _) in zip(peaks, tops)
+                      if t > 1e-12 and abs(u - 1.0) <= 1e-6])
+        assert ends[0] < 5.0
+        assert got.depth.hex() == float(want).hex()
+        cut = stream._cut(dist, s, float(want))
+        assert (got.surface_speed, got.still) == (cut.surface_speed,
+                                                  cut.still)
+        assert np.array_equal(got.profile.U_values, cut.profile.U_values)
 
     def test_subcritical_never_reaches(self):
         # U = y - y^2 tops out at 1/4

@@ -270,6 +270,23 @@ class TestWaveState:
         with pytest.raises(ValueError):
             WaveState.from_dict(d)
 
+    @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf, 0.0])
+    def test_period_must_be_finite_and_positive(self, L):
+        # json reads NaN, so a state file can carry one
+        bad = dict(self._valid(), period_L=L)
+        with pytest.raises(ValueError, match="period_L must be positive "
+                                             "and finite"):
+            WaveState(**bad)
+        d = json.loads(json.dumps(dataclasses.asdict(
+            WaveState(**self._valid())), default=lambda a: a.tolist()))
+        d["period_L"] = L
+        with pytest.raises(ValueError, match="period_L must be positive "
+                                             "and finite"):
+            WaveState.from_dict(d)
+        with pytest.raises(ValueError, match="period_L must be positive "
+                                             "and finite"):
+            StripGrid(L, 16, 8)
+
 
 class TestFlatState:
     def test_constant_flat_residual(self, still_b2):
@@ -735,6 +752,25 @@ class TestNewton:
                            match=f"no convergence in {max_iter} iterations"):
             newton_solve(st, B2, max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol, max_iter, match", [
+        (1e-10, -1, "max_iter must be nonnegative, got -1"),
+        (0.0, 5, "tol must be positive and finite, got 0.0"),
+        (-1.0, 5, "tol must be positive and finite, got -1.0"),
+        (math.nan, 5, "tol must be positive and finite, got nan"),
+        (math.inf, 5, "tol must be positive and finite, got inf")])
+    def test_budget_and_tolerance_checked_first(self, still_b2, monkeypatch,
+                                                tol, max_iter, match):
+        # a negative budget used to return None, and a tolerance that no
+        # residual can meet used to run every iteration
+        st = perturbed_state(still_b2, B2, 2.0, 16, 12, amplitude=0.01)
+
+        def no_residual(*args):
+            raise AssertionError("residual evaluated")
+
+        monkeypatch.setattr(wavesolver, "_residual_parts", no_residual)
+        with pytest.raises(ValueError, match=match):
+            newton_solve(st, B2, tol=tol, max_iter=max_iter)
+
     def test_every_step_length_collapsing_is_surface_collapse(
             self, still_b2, monkeypatch):
         # an exact step of -300 eta on the surface: even 2^-8 of it
@@ -1063,10 +1099,10 @@ class TestBifurcationBranch:
     def test_solves_no_ivp(self, moving_bm1, monkeypatch):
         calls = []
         for module in (wavesolver, stream):
-            def counted(*args, _ivp=module.solve_ivp, **kwargs):
+            def counted(*args, _ivp=module.dop853, **kwargs):
                 calls.append(args)
                 return _ivp(*args, **kwargs)
-            monkeypatch.setattr(module, "solve_ivp", counted)
+            monkeypatch.setattr(module, "dop853", counted)
         res = bifurcation_branch(moving_bm1, BM1, BIFURCATION_K,
                                  amplitude=0.02, nx=64, ny=32)
         assert res.norms.max() < 1e-9
